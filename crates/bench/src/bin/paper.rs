@@ -38,9 +38,6 @@
 //!                    [default: all hardware threads]
 //!   --benchmarks a,b Comma-separated subset of Table 3 names
 //!   --csv            Emit CSV instead of aligned text
-//!   --no-trace-cache Re-execute workloads functionally per grid cell
-//!                    instead of capture-once/replay-many (byte-identical
-//!                    output; sugar for --set trace_cache=off)
 //!   --sample         Interval sampling: every simulation-backed grid cell
 //!                    fast-forwards between systematically selected
 //!                    intervals and replays only those in detail — the
@@ -91,7 +88,6 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, Options), String> {
             "--csv" => csv = true,
             "--dump-scenario" => dump = true,
             "--stall-report" => stall_report = true,
-            "--no-trace-cache" => scenario.apply("trace_cache", "off")?,
             "--sample" => scenario.apply("sample", "on")?,
             flag @ ("--warmup" | "--measure" | "--scale" | "--seed" | "--threads"
             | "--benchmarks") => scenario.apply(&flag[2..], val()?)?,

@@ -26,8 +26,6 @@
 //!                    exactly one cause) plus mean queue occupancies
 //!   --cycle-log N    Keep the last N tap events in a ring buffer and
 //!                    print them after the result (implies the tap)
-//!   --no-trace-cache Execute functionally inline instead of capturing a
-//!                    trace and replaying it (byte-identical output)
 //!   --sample         Interval sampling: replay only systematically
 //!                    selected intervals in detail and print the sampled
 //!                    IPC estimate with its 95% confidence interval
@@ -45,9 +43,10 @@
 
 use std::process::ExitCode;
 use vpsim_bench::scenario::{resolve_cli_base, Scenario};
+use vpsim_bench::TraceCache;
 use vpsim_stats::stall::{CycleCause, StallReport};
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
-use vpsim_uarch::tap::{check_conservation, CycleLog, StallTally};
+use vpsim_uarch::tap::{check_conservation, CycleLog, NullSink, StallTally};
 use vpsim_uarch::RunResult;
 
 struct Flags {
@@ -81,7 +80,6 @@ fn parse_args(args: &[String]) -> Result<(Scenario, Flags), String> {
                 }
                 flags.cycle_log = Some(n);
             }
-            "--no-trace-cache" => scenario.apply("trace_cache", "off")?,
             "--sample" => scenario.apply("sample", "on")?,
             // Single-valued sugar for the grid axes.
             "--predictor" => scenario.apply("predictors", val()?)?,
@@ -196,16 +194,17 @@ fn main() -> ExitCode {
         }
         None => println!("workload {bench}, no value prediction"),
     }
-    // `run_job` resolves through the trace layer (capture once, replay)
-    // unless the scenario turned the cache off; the result is
-    // byte-identical on both paths — with or without the tap attached.
+    // Every path replays the same captured trace; the tap observes the
+    // replay without perturbing it.
+    let settings = &scenario.settings;
+    let (trace, _) = TraceCache::global().get(settings, &bench, settings.trace_budget(&config));
     if flags.stall_report || flags.cycle_log.is_some() {
-        if scenario.settings.sample.is_some() {
+        if settings.sample.is_some() {
             eprintln!("note: sampling is ignored with the event tap; running the full windows");
         }
         let keep = flags.cycle_log.unwrap_or(1);
         let mut sink = (StallTally::default(), CycleLog::with_capacity(keep));
-        let result = scenario.settings.run_job_with_sink(&bench, config, &mut sink);
+        let result = settings.run_trace_with_sink(&trace, config, &mut sink);
         print_result(&result);
         let report = sink.0.measured();
         if let Err(violation) = check_conservation(&result, &report) {
@@ -230,9 +229,7 @@ fn main() -> ExitCode {
             println!("last {} of {} tap events", sink.1.tail(n).len(), sink.1.total_events());
             print!("{}", sink.1.render_tail(n));
         }
-    } else if scenario.settings.sample.is_some() {
-        let settings = &scenario.settings;
-        let trace = settings.capture(&bench, settings.trace_budget(&config));
+    } else if settings.sample.is_some() {
         let sampled = settings.run_trace_sampled(&trace, config);
         print_result(&sampled.combined());
         println!();
@@ -254,7 +251,7 @@ fn main() -> ExitCode {
             None => println!("sampled IPC       no intervals replayed (trace too short)"),
         }
     } else {
-        let result = scenario.settings.run_job(&bench, config);
+        let result = settings.run_trace_with_sink(&trace, config, &mut NullSink);
         print_result(&result);
     }
     ExitCode::SUCCESS

@@ -41,9 +41,6 @@
 //!                      conservation-checked against its RunResult
 //!   --csv              Emit CSV instead of aligned text
 //!   --json             Emit JSON (array of row objects) instead of text
-//!   --no-trace-cache   Re-execute each workload functionally per job
-//!                      instead of capture-once/replay-many (byte-identical
-//!                      output; sugar for --set trace_cache=off)
 //!   --sample           Interval sampling: fast-forward the trace through a
 //!                      functional warmer and replay only systematically
 //!                      selected intervals in detail — an IPC estimate at a
@@ -133,7 +130,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--json" => json = true,
             "--dump-scenario" => dump = true,
             "--list-presets" => list_presets = true,
-            "--no-trace-cache" => scenario.apply("trace_cache", "off")?,
             "--sample" => scenario.apply("sample", "on")?,
             "--timing-json" => timing_json = Some(val()?.clone()),
             "--store" => store = Some(val()?.clone()),
@@ -285,12 +281,11 @@ fn main() -> ExitCode {
         println!("{table}");
         let t = &results.timing;
         eprintln!(
-            "wall-clock: {:.2}s total ({:.2}s capture of {} trace(s), {:.2}s {}, {:.0} ns/µop)",
+            "wall-clock: {:.2}s total ({:.2}s capture of {} trace(s), {:.2}s replay, {:.0} ns/µop)",
             t.total.as_secs_f64(),
             t.capture.as_secs_f64(),
             t.captures,
             t.replay.as_secs_f64(),
-            if t.trace_cache { "replay" } else { "inline simulation (trace cache off)" },
             t.ns_per_uop(),
         );
         if t.sampled {

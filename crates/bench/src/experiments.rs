@@ -9,14 +9,13 @@
 //! workloads and core overrides; `RunSettings::threads` parallelizes the
 //! grid without changing a byte of output.
 
-use crate::runner::RunSettings;
 use crate::scenario::{self, Scenario};
 use crate::sweep::SweepResults;
 use crate::trace_cache::TraceCache;
 use vpsim_core::{ConfidenceScheme, PredictorKind};
 use vpsim_isa::DynInst;
+use vpsim_stats::mean;
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
-use vpsim_stats::{mean, speedup};
 use vpsim_uarch::penalty::{PenaltyModel, RecoveryPenalties};
 use vpsim_uarch::regfile::vp_port_cost;
 use vpsim_uarch::{CoreConfig, RecoveryPolicy};
@@ -355,25 +354,15 @@ pub fn recovery_comparison(sc: &Scenario) -> Table {
 }
 
 /// The first `n` dynamic µops of `bench` for an offline experiment,
-/// handed to `f` as a polymorphic stream: replayed from the shared
-/// [`TraceCache`] when the scenario's `trace_cache` is on, or executed
-/// functionally inline otherwise. Both paths yield the identical stream
-/// (the trace layer's core guarantee), so experiment output is
-/// byte-identical either way.
+/// replayed from the shared [`TraceCache`] and handed to `f`.
 fn with_offline_stream<R>(
     sc: &Scenario,
     bench: &Benchmark,
     n: u64,
     f: impl FnOnce(&mut dyn Iterator<Item = DynInst>) -> R,
 ) -> R {
-    let s = &sc.settings;
-    if s.trace_cache {
-        let (trace, _) = TraceCache::global().get(s, bench, n);
-        f(&mut trace.cursor().take(n as usize))
-    } else {
-        let program = (bench.build)(&s.params());
-        f(&mut vpsim_isa::Executor::new(&program).take(n as usize))
-    }
+    let (trace, _) = TraceCache::global().get(&sc.settings, bench, n);
+    f(&mut trace.cursor().take(n as usize))
 }
 
 /// Offline predictor evaluation: stream a benchmark's dynamic trace
@@ -606,19 +595,6 @@ pub fn ipc_diagnostics(sc: &Scenario) -> Table {
         ]);
     }
     t
-}
-
-/// A single-benchmark speedup, used by tests.
-pub fn one_speedup(
-    s: &RunSettings,
-    bench: &Benchmark,
-    kind: PredictorKind,
-    scheme: ConfidenceScheme,
-    recovery: RecoveryPolicy,
-) -> f64 {
-    let base = s.run_baseline(bench);
-    let vp = s.run_vp(bench, kind, scheme, recovery);
-    speedup(&base.metrics, &vp.metrics)
 }
 
 #[cfg(test)]

@@ -9,11 +9,10 @@
 //!   a scoped worker pool with a bounded work queue, and merged in job
 //!   order so parallel output is bit-identical to serial.
 //! * [`trace_cache`] — capture-once / replay-many: each workload's dynamic
-//!   instruction trace is captured once per process and shared
-//!   (`Arc<Trace>`) across every grid cell, worker thread and experiment,
-//!   instead of re-running the functional executor inline per job.
-//!   `RunSettings::trace_cache = false` (`--no-trace-cache`) restores
-//!   inline execution, byte-identically.
+//!   instruction trace is captured once per process (or mapped from the
+//!   on-disk trace store) and shared (`Arc<Trace>`) across every grid
+//!   cell, worker thread and experiment. Every simulation replays a
+//!   trace; there is no inline-execution path.
 //! * [`store`] / [`protocol`] / [`remote`] — the service layer: the
 //!   persistent on-disk trace store and per-cell result cache, the
 //!   newline-delimited wire protocol shared with the `vpsim-serve` job
@@ -52,5 +51,5 @@ pub use runner::{RunSettings, SuiteResults};
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use store::{ResultCache, Stores, TraceStore};
 pub use sweep::{SweepResults, SweepSpec, SweepTiming};
-pub use trace_cache::{SharedTrace, TraceCache};
+pub use trace_cache::TraceCache;
 pub use vpsim_uarch::RunResult;

@@ -349,7 +349,7 @@ mod tests {
         let spec = crate::scenario::preset("smoke").unwrap().to_spec();
         let settings =
             crate::RunSettings { warmup: 200, measure: 1_000, ..crate::RunSettings::default() };
-        let result = settings.run(&spec.benches[0], settings.core());
+        let result = settings.run_job(&spec.benches[0], settings.core());
         let line = result_line(7, &result);
         assert!(line.starts_with("RESULT 7 "), "{line}");
         let (index, back) = parse_result(&line).unwrap().unwrap();

@@ -1,14 +1,12 @@
 //! Shared machinery for running benchmark × configuration sweeps.
 
-use vpsim_core::{ConfidenceScheme, PredictorKind};
 use vpsim_isa::Trace;
 use vpsim_stats::mean;
-use vpsim_stats::stall::StallReport;
-use vpsim_uarch::tap::{PipeEventSink, StallTally};
-use vpsim_uarch::{
-    CoreConfig, RecoveryPolicy, RunResult, SampleConfig, SampledResult, Simulator, VpConfig,
-};
+use vpsim_uarch::tap::{NullSink, PipeEventSink};
+use vpsim_uarch::{CoreConfig, RunResult, SampleConfig, SampledResult, Simulator};
 use vpsim_workloads::{Benchmark, WorkloadParams};
+
+use crate::trace_cache::TraceCache;
 
 /// Simulation sizing for a sweep.
 ///
@@ -24,7 +22,7 @@ use vpsim_workloads::{Benchmark, WorkloadParams};
 /// use vpsim_workloads::benchmark;
 ///
 /// let s = RunSettings { warmup: 1_000, measure: 5_000, ..RunSettings::default() };
-/// let r = s.run_baseline(&benchmark("gzip").unwrap());
+/// let r = s.run_job(&benchmark("gzip").unwrap(), s.core());
 /// assert_eq!(r.metrics.instructions, 5_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,14 +39,6 @@ pub struct RunSettings {
     /// `1` runs serially on the calling thread. Parallel output is
     /// bit-identical to serial, so this only affects wall-clock time.
     pub threads: usize,
-    /// Capture-once / replay-many: when `true` (the default), grid
-    /// execution captures each workload's dynamic trace once (into
-    /// [`crate::trace_cache::TraceCache::global`]) and replays it for
-    /// every timing configuration instead of re-running the functional
-    /// executor inline per job. Results are byte-identical either way;
-    /// this only trades memory (a few MB per workload) for wall-clock
-    /// time. `false` restores pure inline execution (`--no-trace-cache`).
-    pub trace_cache: bool,
     /// Opt-in sampled replay (`--sample` / scenario key `sample`): when
     /// set, trace-driven runs measure only the configured number of
     /// intervals in detail and fast-forward functionally between them
@@ -65,7 +55,6 @@ impl Default for RunSettings {
             scale: 1,
             seed: 0x2014,
             threads: 1,
-            trace_cache: true,
             sample: None,
         }
     }
@@ -120,16 +109,9 @@ impl RunSettings {
         CoreConfig::default().with_seed(self.seed)
     }
 
-    /// Run one benchmark under one configuration on the inline streaming
-    /// path (the functional executor runs inside the timing loop).
-    pub fn run(&self, bench: &Benchmark, config: CoreConfig) -> RunResult {
-        let program = (bench.build)(&self.params());
-        Simulator::new(config).run_with_warmup(&program, self.warmup, self.measure)
-    }
-
-    /// The capture length that makes replay byte-identical to [`Self::run`]
-    /// under `config`: the measurement window plus the core's maximum
-    /// fetch-ahead (see [`CoreConfig::trace_budget`]).
+    /// The capture length that makes replay byte-identical to inline
+    /// execution under `config`: the measurement window plus the core's
+    /// maximum fetch-ahead (see [`CoreConfig::trace_budget`]).
     pub fn trace_budget(&self, config: &CoreConfig) -> u64 {
         config.trace_budget(self.warmup, self.measure)
     }
@@ -141,58 +123,20 @@ impl RunSettings {
         Trace::capture(&program, budget)
     }
 
-    /// Replay a captured trace under one configuration. With
-    /// [`Self::sample`] unset this is byte-identical to [`Self::run`] on
-    /// the benchmark the trace was captured from, given a sufficient
-    /// capture budget ([`Self::trace_budget`]). With sampling on, the
-    /// result is the combined counters of the sampled intervals
-    /// ([`SampledResult::combined`]) — an estimate, not the full replay.
-    pub fn run_trace(&self, trace: &Trace, config: CoreConfig) -> RunResult {
-        match self.sample {
-            Some(_) => self.run_trace_sampled(trace, config).combined(),
-            None => Simulator::new(config).run_trace(trace, self.warmup, self.measure),
-        }
-    }
-
-    /// [`Self::run_trace`] over a [`crate::trace_cache::SharedTrace`]:
-    /// owned traces replay through the decoded cursor, mapped store
-    /// entries replay straight from the borrowed view — byte-identical
-    /// either way (the cursors yield the same stream). Sampled mode needs
-    /// an owned `&Trace` to seek in, so a mapped trace is materialized
-    /// first in that case.
-    pub fn run_shared(
+    /// Replay a trace in full under one configuration, streaming pipeline
+    /// events into `sink` (see [`vpsim_uarch::tap`]; pass a
+    /// [`NullSink`] for none). Byte-identical to inline execution of the
+    /// benchmark the trace was captured from, given a sufficient capture
+    /// budget ([`Self::trace_budget`]), and unperturbed by the sink.
+    /// [`Self::sample`] is ignored: per-cycle attribution of a sampled
+    /// estimate would attribute cycles that were never simulated.
+    pub fn run_trace_with_sink<T: PipeEventSink>(
         &self,
-        trace: &crate::trace_cache::SharedTrace,
-        config: CoreConfig,
-    ) -> RunResult {
-        use crate::trace_cache::SharedTrace;
-        match (trace, self.sample) {
-            (SharedTrace::Owned(trace), _) => self.run_trace(trace, config),
-            (SharedTrace::Mapped(mapped), None) => {
-                Simulator::new(config).run_source(mapped.view().cursor(), self.warmup, self.measure)
-            }
-            (SharedTrace::Mapped(_), Some(_)) => self.run_trace(&trace.to_owned_trace(), config),
-        }
-    }
-
-    /// [`Self::run_shared`] with a pipeline event sink attached (the
-    /// unsampled analogue of [`Self::run_trace_with_sink`]).
-    pub fn run_shared_with_sink<T: PipeEventSink>(
-        &self,
-        trace: &crate::trace_cache::SharedTrace,
+        trace: &Trace,
         config: CoreConfig,
         sink: &mut T,
     ) -> RunResult {
-        use crate::trace_cache::SharedTrace;
-        match trace {
-            SharedTrace::Owned(trace) => self.run_trace_with_sink(trace, config, sink),
-            SharedTrace::Mapped(mapped) => Simulator::new(config).run_source_with_sink(
-                mapped.view().cursor(),
-                self.warmup,
-                self.measure,
-                sink,
-            ),
-        }
+        Simulator::new(config).run_trace_with_sink(trace, self.warmup, self.measure, sink)
     }
 
     /// Sampled replay with full per-interval visibility: the
@@ -205,105 +149,18 @@ impl RunSettings {
         Simulator::new(config).run_sampled(trace, self.warmup, self.measure, sample)
     }
 
-    /// Run one benchmark under one configuration, resolving through the
-    /// trace layer when [`Self::trace_cache`] is on (capture once into the
-    /// process-wide cache, then replay) and through the inline streaming
-    /// executor otherwise. Both paths produce byte-identical results.
-    ///
-    /// Sampled mode ([`Self::sample`]) always goes through a trace —
-    /// fast-forward needs a captured stream to seek in — so with the trace
-    /// cache off the trace is captured privately for this job.
+    /// Run one benchmark under one configuration: fetch its trace from
+    /// [`TraceCache::global`] (capturing it on first use) and replay it —
+    /// sampled when [`Self::sample`] is set, in full otherwise. With
+    /// sampling on, the result is the combined counters of the sampled
+    /// intervals ([`SampledResult::combined`]) — an estimate, not the
+    /// full replay.
     pub fn run_job(&self, bench: &Benchmark, config: CoreConfig) -> RunResult {
-        if self.trace_cache {
-            let budget = self.trace_budget(&config);
-            let (trace, _) = crate::trace_cache::TraceCache::global().get(self, bench, budget);
-            self.run_trace(&trace, config)
-        } else if self.sample.is_some() {
-            let trace = self.capture(bench, self.trace_budget(&config));
-            self.run_trace(&trace, config)
-        } else {
-            self.run(bench, config)
+        let (trace, _) = TraceCache::global().get(self, bench, self.trace_budget(&config));
+        match self.sample {
+            Some(_) => self.run_trace_sampled(&trace, config).combined(),
+            None => self.run_trace_with_sink(&trace, config, &mut NullSink),
         }
-    }
-
-    /// [`Self::run`] with a pipeline event sink attached (see
-    /// [`vpsim_uarch::tap`]). With a [`vpsim_uarch::tap::NullSink`] this is
-    /// exactly [`Self::run`]; any enabled sink observes the same simulation
-    /// without perturbing its result.
-    pub fn run_with_sink<T: PipeEventSink>(
-        &self,
-        bench: &Benchmark,
-        config: CoreConfig,
-        sink: &mut T,
-    ) -> RunResult {
-        let program = (bench.build)(&self.params());
-        Simulator::new(config).run_source_with_sink(
-            vpsim_isa::Executor::new(&program),
-            self.warmup,
-            self.measure,
-            sink,
-        )
-    }
-
-    /// [`Self::run_trace`] with a pipeline event sink attached.
-    pub fn run_trace_with_sink<T: PipeEventSink>(
-        &self,
-        trace: &Trace,
-        config: CoreConfig,
-        sink: &mut T,
-    ) -> RunResult {
-        Simulator::new(config).run_trace_with_sink(trace, self.warmup, self.measure, sink)
-    }
-
-    /// [`Self::run_job`] with a pipeline event sink attached: resolves
-    /// through the trace cache exactly like `run_job`, so a tapped run
-    /// observes the same simulation the untapped sweep executed.
-    /// [`Self::sample`] is ignored here — per-cycle attribution of a
-    /// sampled estimate would attribute cycles that were never simulated,
-    /// so tapped runs always replay the full windows.
-    pub fn run_job_with_sink<T: PipeEventSink>(
-        &self,
-        bench: &Benchmark,
-        config: CoreConfig,
-        sink: &mut T,
-    ) -> RunResult {
-        if self.trace_cache {
-            let budget = self.trace_budget(&config);
-            let (trace, _) = crate::trace_cache::TraceCache::global().get(self, bench, budget);
-            self.run_trace_with_sink(&trace, config, sink)
-        } else {
-            self.run_with_sink(bench, config, sink)
-        }
-    }
-
-    /// Run one job with a [`StallTally`] attached and return the result
-    /// together with the measured-region stall report. The `RunResult` is
-    /// byte-identical to [`Self::run_job`] on the same inputs.
-    pub fn run_job_tapped(
-        &self,
-        bench: &Benchmark,
-        config: CoreConfig,
-    ) -> (RunResult, StallReport) {
-        let mut tally = StallTally::default();
-        let result = self.run_job_with_sink(bench, config, &mut tally);
-        (result, tally.measured())
-    }
-
-    /// Run one benchmark with no value prediction (the speedup baseline).
-    pub fn run_baseline(&self, bench: &Benchmark) -> RunResult {
-        self.run(bench, self.core())
-    }
-
-    /// Run one benchmark with the given predictor/scheme/recovery.
-    pub fn run_vp(
-        &self,
-        bench: &Benchmark,
-        kind: PredictorKind,
-        scheme: ConfidenceScheme,
-        recovery: RecoveryPolicy,
-    ) -> RunResult {
-        let vp = VpConfig { kind, scheme, recovery };
-        self.run(bench, self.core().with_vp(vp))
     }
 }
 
@@ -352,6 +209,8 @@ pub fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpsim_core::PredictorKind;
+    use vpsim_uarch::{RecoveryPolicy, VpConfig};
     use vpsim_workloads::benchmark;
 
     fn tiny() -> RunSettings {
@@ -362,29 +221,15 @@ mod tests {
     fn baseline_and_vp_runs_complete() {
         let s = tiny();
         let b = benchmark("gzip").unwrap();
-        let base = s.run_baseline(&b);
+        let base = s.run_job(&b, s.core());
         assert_eq!(base.metrics.instructions, 10_000);
-        let vp = s.run_vp(
+        let vp = s.run_job(
             &b,
-            PredictorKind::Vtage,
-            ConfidenceScheme::fpc_squash(),
-            RecoveryPolicy::SquashAtCommit,
+            s.core()
+                .with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit)),
         );
         assert_eq!(vp.metrics.instructions, 10_000);
         assert!(vp.vp.eligible > 0);
-    }
-
-    #[test]
-    fn run_job_is_byte_identical_on_both_paths() {
-        let s = tiny();
-        let b = benchmark("h264ref").unwrap();
-        let config = s
-            .core()
-            .with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit));
-        let inline = RunSettings { trace_cache: false, ..s }.run_job(&b, config.clone());
-        let replayed = RunSettings { trace_cache: true, ..s }.run_job(&b, config.clone());
-        assert_eq!(inline, replayed);
-        assert_eq!(inline, s.run(&b, config));
     }
 
     #[test]
@@ -392,7 +237,10 @@ mod tests {
         let s = tiny();
         let b = benchmark("gzip").unwrap();
         let trace = s.capture(&b, s.trace_budget(&s.core()));
-        assert_eq!(s.run_trace(&trace, s.core()), s.run_baseline(&b));
+        let inline =
+            Simulator::new(s.core()).run_with_warmup(&(b.build)(&s.params()), s.warmup, s.measure);
+        assert_eq!(s.run_trace_with_sink(&trace, s.core(), &mut NullSink), inline);
+        assert_eq!(s.run_job(&b, s.core()), inline);
     }
 
     #[test]

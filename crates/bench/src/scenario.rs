@@ -272,13 +272,12 @@ impl Scenario {
             "scale" => self.settings.scale = num("scale")? as usize,
             "seed" => self.settings.seed = num("seed")?,
             "threads" => self.settings.threads = num("threads")? as usize,
-            "trace_cache" => {
-                self.settings.trace_cache = match value.to_ascii_lowercase().as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => return Err(format!("trace_cache: {other} is not on|off")),
-                }
-            }
+            // Every run replays a captured trace; the key is still accepted
+            // (and validated) so older scenario files keep loading.
+            "trace_cache" => match value.to_ascii_lowercase().as_str() {
+                "on" | "true" | "1" | "off" | "false" | "0" => {}
+                other => return Err(format!("trace_cache: {other} is not on|off")),
+            },
             "sample" => match value.to_ascii_lowercase().as_str() {
                 "on" | "true" | "1" => {
                     self.settings.sample.get_or_insert_with(SampleConfig::default);
@@ -450,7 +449,9 @@ impl fmt::Display for Scenario {
         write_kv(f, "scale", &self.settings.scale.to_string())?;
         write_kv(f, "seed", &self.settings.seed.to_string())?;
         write_kv(f, "threads", &self.settings.threads.to_string())?;
-        write_kv(f, "trace_cache", if self.settings.trace_cache { "on" } else { "off" })?;
+        // A no-op key, rendered as it always was so canonical text and
+        // `cache_hash` identities stay byte-identical.
+        write_kv(f, "trace_cache", "on")?;
         // Sampling keys render only when sampling is on, so scenarios that
         // never mention sampling keep their exact pre-sampling canonical
         // text (and therefore their cache_hash identity).
@@ -534,13 +535,6 @@ impl ScenarioBuilder {
     /// Worker threads (1 = serial; output is thread-count invariant).
     pub fn threads(mut self, n: usize) -> Self {
         self.0.settings.threads = n;
-        self
-    }
-
-    /// Capture-once/replay-many trace cache (on by default; output is
-    /// byte-identical either way).
-    pub fn trace_cache(mut self, on: bool) -> Self {
-        self.0.settings.trace_cache = on;
         self
     }
 
@@ -1000,7 +994,7 @@ mod tests {
         // Execution-only keys do not change the identity…
         let mut exec = sc.clone();
         exec.settings.threads = 13;
-        exec.settings.trace_cache = false;
+        exec.apply("trace_cache", "off").unwrap();
         assert_eq!(exec.cache_hash(), hash);
         // …but every result-affecting key does.
         for tweak in [
@@ -1106,15 +1100,16 @@ mod tests {
     #[test]
     fn trace_cache_key_round_trips_and_rejects_garbage() {
         let mut sc = Scenario::default();
-        assert!(sc.settings.trace_cache, "cache is on by default");
-        sc.apply_text("trace_cache = off").unwrap();
-        assert!(!sc.settings.trace_cache);
-        assert!(sc.to_string().contains("trace_cache = off"));
-        assert_eq!(sc.to_string().parse::<Scenario>().unwrap(), sc);
-        for (spelling, want) in [("on", true), ("true", true), ("0", false), ("OFF", false)] {
+        assert!(sc.to_string().contains("trace_cache = on"));
+        // Every spelling parses and changes nothing: the key is a no-op
+        // kept for older scenario files, and it always renders as `on`.
+        for spelling in ["off", "on", "true", "0", "OFF"] {
             sc.apply("trace_cache", spelling).unwrap();
-            assert_eq!(sc.settings.trace_cache, want, "{spelling}");
+            assert_eq!(sc, Scenario::default(), "{spelling}");
         }
+        sc.apply_text("trace_cache = off").unwrap();
+        assert!(sc.to_string().contains("trace_cache = on"));
+        assert_eq!(sc.to_string().parse::<Scenario>().unwrap(), sc);
         let err = sc.apply("trace_cache", "maybe").unwrap_err();
         assert!(err.contains("on|off"), "{err}");
         let err = sc.apply_text("tracecache = on").unwrap_err();

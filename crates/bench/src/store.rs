@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use crate::runner::RunSettings;
 use crate::sweep::SweepJob;
-use vpsim_isa::{Trace, TraceBlob, TraceView};
+use vpsim_isa::{fnv1a, Trace};
 use vpsim_uarch::RunResult;
 
 // ---------------------------------------------------------------------------
@@ -117,16 +117,6 @@ pub fn hex(bytes: &[u8]) -> String {
     out
 }
 
-/// FNV-1a 64 — the whole-file integrity checksum of store entries.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------------
 // Atomic file plumbing shared by both stores
 // ---------------------------------------------------------------------------
@@ -150,17 +140,18 @@ fn write_checksummed(dir: &Path, path: &Path, body: &[u8]) -> Result<(), String>
     })
 }
 
-/// Read `path` and verify its trailing checksum; `Ok(None)` when the
-/// entry does not exist, `Err` when it exists but is corrupt or truncated
-/// (the caller logs and evicts).
+/// Read (or, with `map`, memory-map) `path` and verify its trailing
+/// checksum; `Ok(None)` when the entry does not exist, `Err` when it
+/// exists but is corrupt or truncated (the caller logs and evicts). The
+/// returned bytes exclude the checksum.
 ///
-/// The file is read once into an exactly-sized buffer (stat, then
-/// `read_exact`) — unlike `fs::read`'s grow-as-you-go loop this performs
-/// one allocation of the final size and no copies, which matters for
-/// multi-megabyte trace-store entries on the sweep's hot path. Entries
-/// are written by atomic rename, so the open file cannot change under the
-/// stat.
-fn read_checksummed(path: &Path) -> Result<Option<Vec<u8>>, String> {
+/// The read path fills one exactly-sized buffer (stat, then `read_exact`)
+/// — unlike `fs::read`'s grow-as-you-go loop this performs one allocation
+/// of the final size and no copies. The map path allocates nothing for
+/// the body at all, falling back to the read when mapping is unavailable.
+/// Entries are written by atomic rename, so the open file cannot change
+/// under the stat (see [`Mmap`]).
+fn read_checksummed(path: &Path, map: bool) -> Result<Option<EntryBytes>, String> {
     use std::io::Read;
     let mut file = match std::fs::File::open(path) {
         Ok(file) => file,
@@ -171,16 +162,22 @@ fn read_checksummed(path: &Path) -> Result<Option<Vec<u8>>, String> {
     if len < 8 {
         return Err("truncated entry (shorter than its checksum)".into());
     }
-    let mut data = vec![0u8; len];
-    file.read_exact(&mut data).map_err(|e| format!("cannot read: {e}"))?;
-    let body_len = data.len() - 8;
-    let found = u64::from_le_bytes(data[body_len..].try_into().unwrap());
-    let expected = fnv1a(&data[..body_len]);
+    let storage = match map.then(|| Mmap::of_file(&file, len)).flatten() {
+        Some(mapping) => EntryStorage::Mapped(mapping),
+        None => {
+            let mut data = vec![0u8; len];
+            file.read_exact(&mut data).map_err(|e| format!("cannot read: {e}"))?;
+            EntryStorage::Heap(data)
+        }
+    };
+    let all = storage.bytes();
+    let body_len = len - 8;
+    let found = u64::from_le_bytes(all[body_len..].try_into().unwrap());
+    let expected = fnv1a(&all[..body_len]);
     if found != expected {
         return Err(format!("checksum mismatch (computed {expected:#018x}, stored {found:#018x})"));
     }
-    data.truncate(body_len);
-    Ok(Some(data))
+    Ok(Some(EntryBytes { storage, body: 0..body_len }))
 }
 
 /// Log a corrupt entry to stderr and evict it so the next producer
@@ -293,12 +290,11 @@ impl fmt::Debug for Mmap {
     }
 }
 
-/// The backing bytes of one trace-store entry plus the sub-range holding
-/// the serialized [`Trace`] (between the entry header and the outer
-/// checksum trailer). `AsRef<[u8]>` yields exactly that body — the form
-/// [`TraceBlob`] parses.
+/// The verified bytes of one store entry: its storage plus the sub-range
+/// `AsRef<[u8]>` yields — the entry body without its checksum trailer,
+/// narrowed to the serialized [`Trace`] for trace-store entries.
 #[derive(Debug)]
-pub struct EntryBytes {
+struct EntryBytes {
     storage: EntryStorage,
     body: std::ops::Range<usize>,
 }
@@ -308,7 +304,8 @@ enum EntryStorage {
     /// Page-cache-backed mapping: a store hit costs page faults on the
     /// bytes actually replayed, not an allocation plus a full copy.
     Mapped(Mmap),
-    /// Full-read fallback when mapping is unavailable.
+    /// One exactly-sized heap read ([`TraceStore::load`], the result
+    /// cache, and the fallback when mapping is unavailable).
     Heap(Vec<u8>),
 }
 
@@ -327,64 +324,6 @@ impl AsRef<[u8]> for EntryBytes {
     }
 }
 
-/// A trace-store entry opened for zero-copy replay: a validated
-/// [`TraceBlob`] over the (usually memory-mapped) entry file, plus the
-/// capture metadata the coverage check needs. Obtained from
-/// [`TraceStore::map`]; replay it with [`MappedTrace::view`], or
-/// materialize an owned [`Trace`] with [`MappedTrace::to_trace`] when a
-/// consumer needs one (e.g. interval sampling).
-#[derive(Debug)]
-pub struct MappedTrace {
-    blob: TraceBlob<EntryBytes>,
-    budget: u64,
-    complete: bool,
-}
-
-impl MappedTrace {
-    /// `true` if this entry satisfies a request for `budget` µops.
-    pub fn covers(&self, budget: u64) -> bool {
-        self.complete || self.budget >= budget
-    }
-
-    /// Capture limit the trace was taken with.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// The program ended before the budget: the trace is the complete
-    /// execution and satisfies any request.
-    pub fn complete(&self) -> bool {
-        self.complete
-    }
-
-    /// Number of dynamic records in the entry.
-    pub fn len(&self) -> usize {
-        self.blob.len()
-    }
-
-    /// `true` if the entry holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.blob.is_empty()
-    }
-
-    /// `true` when the entry is backed by a memory mapping (false on the
-    /// full-read fallback path) — exposed for metrics and tests.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.blob.bytes().storage, EntryStorage::Mapped(_))
-    }
-
-    /// Borrowed struct-of-arrays view for zero-copy replay.
-    pub fn view(&self) -> TraceView<'_> {
-        self.blob.view()
-    }
-
-    /// Materialize an owned [`Trace`] (one exact allocation per section —
-    /// the price of ownership, paid only by consumers that need it).
-    pub fn to_trace(&self) -> Trace {
-        self.blob.to_trace()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // TraceStore
 // ---------------------------------------------------------------------------
@@ -394,21 +333,37 @@ impl MappedTrace {
 const TRACE_ENTRY_MAGIC: &[u8; 8] = b"vpstse1\n";
 
 /// A trace fetched from a [`TraceStore`], with the capture metadata the
-/// coverage check needs.
+/// coverage check needs. The trace replays straight out of the entry's
+/// bytes: a memory mapping for [`TraceStore::map`], one heap read for
+/// [`TraceStore::load`].
 pub struct StoredTrace {
-    /// The deserialized trace.
+    /// The stored trace, backed by the entry's bytes.
     pub trace: Arc<Trace>,
     /// Capture limit the trace was taken with.
     pub budget: u64,
     /// The program ended before the budget: the trace is the complete
     /// execution and satisfies any request.
     pub complete: bool,
+    mapped: bool,
 }
 
 impl StoredTrace {
     /// `true` if this entry satisfies a request for `budget` µops.
     pub fn covers(&self, budget: u64) -> bool {
         self.complete || self.budget >= budget
+    }
+
+    /// The capture limit (the `budget` field, for call chains such as
+    /// `store.map(..)?.budget()`).
+    pub fn budget(&self) -> u64 {
+        self.budget
+    }
+
+    /// `true` when the entry is backed by a memory mapping (false for
+    /// [`TraceStore::load`] and on the full-read fallback) — exposed for
+    /// metrics and tests.
+    pub fn is_mapped(&self) -> bool {
+        self.mapped
     }
 }
 
@@ -437,99 +392,58 @@ impl TraceStore {
         self.dir.join(format!("trace-{}.bin", hex(&sha256(key.as_bytes()))))
     }
 
-    /// Open the stored capture for a workload identity for zero-copy
-    /// replay, if present and intact. The entry file is memory-mapped
-    /// (full-read fallback when mapping is unavailable), its outer
-    /// checksum and header are verified, and the trace body is validated
-    /// in place by [`TraceBlob::parse`] — no section is copied. Corrupt
-    /// entries (bad outer checksum, bad header, or a trace body that
-    /// fails validation) are logged to stderr, evicted, and reported as
-    /// absent — the caller recaptures and the next [`TraceStore::save`]
-    /// heals the store. Does not touch the hit/miss counters; coverage is
-    /// the caller's call.
+    /// Open the stored capture for a workload identity, if present and
+    /// intact, memory-mapping the entry file (full-read fallback when
+    /// mapping is unavailable): no section is copied, and replay faults in
+    /// only the pages it touches. Corrupt entries (bad outer checksum, bad
+    /// header, or a trace body that fails [`Trace::from_buffer`]) are
+    /// logged to stderr, evicted, and reported as absent — the caller
+    /// recaptures and the next [`TraceStore::save`] heals the store. Does
+    /// not touch the hit/miss counters; coverage is the caller's call.
     ///
     /// Safety of the mapping against concurrent store writers: see
     /// [`Mmap`] — atomic-rename writes plus unix unlink semantics mean a
     /// mapped entry is immutable for the mapping's lifetime.
-    pub fn map(&self, name: &str, scale: usize, seed: u64) -> Option<MappedTrace> {
-        let path = self.path(name, scale, seed);
-        let file = match std::fs::File::open(&path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(e) => {
-                evict_corrupt("trace-store entry", &path, &format!("cannot read: {e}"));
-                return None;
-            }
-        };
-        let len = match file.metadata() {
-            Ok(meta) => meta.len() as usize,
-            Err(e) => {
-                evict_corrupt("trace-store entry", &path, &format!("cannot stat: {e}"));
-                return None;
-            }
-        };
-        let header_len = TRACE_ENTRY_MAGIC.len() + 8 + 1;
-        if len < header_len + 8 {
-            evict_corrupt("trace-store entry", &path, "truncated entry");
-            return None;
-        }
-        let storage = match Mmap::of_file(&file, len) {
-            Some(map) => EntryStorage::Mapped(map),
-            None => {
-                use std::io::Read;
-                let mut data = vec![0u8; len];
-                let mut file = file;
-                if let Err(e) = file.read_exact(&mut data) {
-                    evict_corrupt("trace-store entry", &path, &format!("cannot read: {e}"));
-                    return None;
-                }
-                EntryStorage::Heap(data)
-            }
-        };
-        let (budget, complete) = {
-            let all = storage.bytes();
-            let body_len = len - 8;
-            let found = u64::from_le_bytes(all[body_len..].try_into().unwrap());
-            let expected = fnv1a(&all[..body_len]);
-            if found != expected {
-                evict_corrupt(
-                    "trace-store entry",
-                    &path,
-                    &format!("checksum mismatch (computed {expected:#018x}, stored {found:#018x})"),
-                );
-                return None;
-            }
-            if &all[..TRACE_ENTRY_MAGIC.len()] != TRACE_ENTRY_MAGIC {
-                evict_corrupt("trace-store entry", &path, "bad entry header");
-                return None;
-            }
-            let budget = u64::from_le_bytes(
-                all[TRACE_ENTRY_MAGIC.len()..TRACE_ENTRY_MAGIC.len() + 8].try_into().unwrap(),
-            );
-            (budget, all[TRACE_ENTRY_MAGIC.len() + 8] != 0)
-        };
-        let entry = EntryBytes { storage, body: header_len..len - 8 };
-        match TraceBlob::parse(entry) {
-            Ok(blob) => Some(MappedTrace { blob, budget, complete }),
-            Err(e) => {
-                evict_corrupt("trace-store entry", &path, &e.to_string());
-                None
-            }
-        }
+    pub fn map(&self, name: &str, scale: usize, seed: u64) -> Option<StoredTrace> {
+        self.open_entry(name, scale, seed, true)
     }
 
-    /// Load the stored capture for a workload identity as an owned
-    /// [`Trace`], if present and intact — [`TraceStore::map`] plus one
-    /// materialization; same eviction behavior. Kept for consumers that
-    /// need ownership (e.g. interval sampling); the sweep hot path uses
-    /// [`TraceStore::map`] directly.
+    /// [`TraceStore::map`], but reading the entry into one exactly-sized
+    /// heap buffer instead of mapping it. Same validation and eviction;
+    /// the sections are still replayed in place, not decoded.
     pub fn load(&self, name: &str, scale: usize, seed: u64) -> Option<StoredTrace> {
-        let mapped = self.map(name, scale, seed)?;
-        Some(StoredTrace {
-            trace: Arc::new(mapped.to_trace()),
-            budget: mapped.budget,
-            complete: mapped.complete,
-        })
+        self.open_entry(name, scale, seed, false)
+    }
+
+    /// The shared body of [`TraceStore::map`] and [`TraceStore::load`].
+    fn open_entry(&self, name: &str, scale: usize, seed: u64, map: bool) -> Option<StoredTrace> {
+        let path = self.path(name, scale, seed);
+        let evict = |why: &str| -> Option<StoredTrace> {
+            evict_corrupt("trace-store entry", &path, why);
+            None
+        };
+        let mut entry = match read_checksummed(&path, map) {
+            Ok(Some(entry)) => entry,
+            Ok(None) => return None,
+            Err(why) => return evict(&why),
+        };
+        let m = TRACE_ENTRY_MAGIC.len();
+        let header_len = m + 8 + 1;
+        let head = entry.as_ref();
+        if head.len() < header_len {
+            return evict("truncated entry");
+        }
+        if &head[..m] != TRACE_ENTRY_MAGIC {
+            return evict("bad entry header");
+        }
+        let budget = u64::from_le_bytes(head[m..m + 8].try_into().unwrap());
+        let complete = head[m + 8] != 0;
+        let mapped = matches!(entry.storage, EntryStorage::Mapped(_));
+        entry.body.start += header_len;
+        match Trace::from_buffer(entry) {
+            Ok(trace) => Some(StoredTrace { trace: Arc::new(trace), budget, complete, mapped }),
+            Err(e) => evict(&e.to_string()),
+        }
     }
 
     /// Persist a capture for a workload identity (atomically; overwrites
@@ -609,7 +523,7 @@ impl ResultCache {
     /// absent, so the cell is simply simulated again.
     pub fn load(&self, key_hex: &str) -> Option<RunResult> {
         let path = self.path(key_hex);
-        let body = match read_checksummed(&path) {
+        let body = match read_checksummed(&path, false) {
             Ok(Some(body)) => body,
             Ok(None) => return None,
             Err(why) => {
@@ -617,7 +531,7 @@ impl ResultCache {
                 return None;
             }
         };
-        match RunResult::from_bytes(&body) {
+        match RunResult::from_bytes(body.as_ref()) {
             Ok(result) => Some(result),
             Err(e) => {
                 evict_corrupt("result-cache entry", &path, &e);
@@ -806,15 +720,18 @@ mod tests {
         store.save("w", 1, 7, 100, false, &trace);
         let mapped = store.map("w", 1, 7).expect("saved entry maps");
         assert_eq!(mapped.budget(), 100);
-        assert!(!mapped.complete());
+        assert!(!mapped.complete);
         assert!(mapped.covers(100) && !mapped.covers(101));
-        assert_eq!(mapped.len(), trace.len());
+        assert_eq!(mapped.trace.len(), trace.len());
         #[cfg(all(unix, target_pointer_width = "64"))]
         assert!(mapped.is_mapped(), "64-bit unix entries are mmap-backed");
-        // The borrowed view replays the exact owned stream, and the
-        // materialized form is the exact owned trace.
-        assert_eq!(mapped.view().cursor().collect::<Vec<_>>(), trace.cursor().collect::<Vec<_>>());
-        assert_eq!(mapped.to_trace(), trace);
+        // The mapped entry replays the exact captured stream and equals
+        // the capture; the heap-read entry is the same trace.
+        assert!(mapped.trace.cursor().eq(trace.cursor()));
+        assert_eq!(*mapped.trace, trace);
+        let loaded = store.load("w", 1, 7).expect("saved entry loads");
+        assert!(!loaded.is_mapped());
+        assert_eq!(*loaded.trace, trace);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

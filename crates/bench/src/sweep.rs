@@ -49,13 +49,13 @@ use std::time::{Duration, Instant};
 
 use crate::runner::{RunSettings, SuiteResults};
 use crate::store::{cell_key, Stores, TraceStore};
-use crate::trace_cache::{SharedTrace, TraceCache};
+use crate::trace_cache::TraceCache;
 use vpsim_core::{ConfidenceScheme, PredictorKind};
 use vpsim_isa::Trace;
 use vpsim_stats::mean;
 use vpsim_stats::stall::StallReport;
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
-use vpsim_uarch::tap::{check_conservation, StallTally};
+use vpsim_uarch::tap::{check_conservation, NullSink, StallTally};
 use vpsim_uarch::{CoreConfig, RecoveryPolicy, RunResult, VpConfig};
 use vpsim_workloads::Benchmark;
 
@@ -319,32 +319,25 @@ where
 /// trace per benchmark, in parallel on `settings.threads` workers. The
 /// budget covers the largest ROB in `configs`, so every grid cell replays
 /// byte-identically. With a [`TraceStore`], the in-memory cache falls
-/// through to disk before capturing (and persists fresh captures).
-/// Returns the traces (benchmark order) and how many were captured fresh.
+/// through to the store before capturing (see
+/// [`TraceCache::get_with_store`]). Returns the traces (benchmark order)
+/// and how many were captured fresh.
 fn prefetch_traces(
     settings: &RunSettings,
     benches: &[Benchmark],
     configs: &[CoreConfig],
     store: Option<&TraceStore>,
-) -> (Vec<Arc<SharedTrace>>, usize) {
+) -> (Vec<Arc<Trace>>, usize) {
     let budget = configs
         .iter()
         .map(|c| settings.trace_budget(c))
         .max()
         .unwrap_or_else(|| settings.trace_budget(&settings.core()));
     let captures = run_indexed(benches.len(), settings.threads, |bi| {
-        // Sampled replay seeks within an owned trace, so it decodes store
-        // hits up front instead of taking the mapped zero-copy path.
-        if settings.sample.is_some() {
-            let (trace, fresh) =
-                TraceCache::global().get_with_store(settings, &benches[bi], budget, store);
-            (SharedTrace::Owned(trace), fresh)
-        } else {
-            TraceCache::global().get_shared_with_store(settings, &benches[bi], budget, store)
-        }
+        TraceCache::global().get_with_store(settings, &benches[bi], budget, store)
     });
     let fresh = captures.iter().filter(|(_, fresh)| *fresh).count();
-    (captures.into_iter().map(|(trace, _)| Arc::new(trace)).collect(), fresh)
+    (captures.into_iter().map(|(trace, _)| trace).collect(), fresh)
 }
 
 /// Run every benchmark under every configuration and return one
@@ -352,11 +345,10 @@ fn prefetch_traces(
 ///
 /// Jobs are laid out configuration-major (`configs[0]` over all benchmarks
 /// first), executed on `settings.threads` workers, and merged by index, so
-/// row order matches a serial double loop exactly. With
-/// `settings.trace_cache` on, each benchmark's dynamic trace is captured
-/// once and shared (`Arc<Trace>`) across every configuration and worker
-/// thread; with it off, every job re-executes functionally inline. The
-/// two modes produce byte-identical results.
+/// row order matches a serial double loop exactly. Each benchmark's
+/// dynamic trace is captured once, up front and in parallel, and every
+/// cell then replays it from the process-wide [`TraceCache`] through
+/// [`RunSettings::run_job`].
 pub fn run_grid(
     settings: &RunSettings,
     benches: &[Benchmark],
@@ -365,19 +357,13 @@ pub fn run_grid(
     if benches.is_empty() {
         return configs.iter().map(|_| SuiteResults { rows: Vec::new() }).collect();
     }
-    let jobs = configs.len() * benches.len();
-    let results = if settings.trace_cache {
-        let (traces, _) = prefetch_traces(settings, benches, configs, None);
-        run_indexed(jobs, settings.threads, |i| {
-            let (ci, bi) = (i / benches.len(), i % benches.len());
-            settings.run_shared(&traces[bi], configs[ci].clone())
-        })
-    } else {
-        run_indexed(jobs, settings.threads, |i| {
-            let (ci, bi) = (i / benches.len(), i % benches.len());
-            settings.run(&benches[bi], configs[ci].clone())
-        })
-    };
+    // Captured at the largest budget any configuration needs, so each
+    // cell's `run_job` lookup below is an in-memory hit.
+    let _traces = prefetch_traces(settings, benches, configs, None);
+    let results = run_indexed(configs.len() * benches.len(), settings.threads, |i| {
+        let (ci, bi) = (i / benches.len(), i % benches.len());
+        settings.run_job(&benches[bi], configs[ci].clone())
+    });
     let mut out = Vec::with_capacity(configs.len());
     let mut it = results.into_iter();
     for _ in configs {
@@ -626,11 +612,9 @@ impl SweepSpec {
     }
 
     /// Execute the sweep on `self.settings.threads` workers (1 = serial).
-    /// Output is bit-identical for every thread count, and for the trace
-    /// cache on vs off ([`RunSettings::trace_cache`]): with it on, jobs
-    /// are grouped by workload, each workload's trace is captured once
-    /// and shared across the whole grid via `Arc<Trace>`; with it off,
-    /// every job re-executes the functional trace inline.
+    /// Output is bit-identical for every thread count. Each workload's
+    /// trace is captured (or fetched from a store) once and shared across
+    /// the whole grid via `Arc<Trace>`.
     pub fn run(&self) -> SweepResults {
         self.run_streamed(|_, _| {})
     }
@@ -723,7 +707,6 @@ impl SweepSpec {
         let mut timing = SweepTiming {
             jobs: emit.len(),
             workloads: self.benches.len(),
-            trace_cache: self.settings.trace_cache,
             threads: self.settings.threads,
             result_cache_hits: hits,
             sampled,
@@ -735,7 +718,7 @@ impl SweepSpec {
         let store = self.stores.traces.as_deref();
         let store_base = store.map_or((0, 0), |s| (s.hits(), s.misses()));
         let mut traces = Vec::new();
-        if self.settings.trace_cache && !sim.is_empty() {
+        if !sim.is_empty() {
             let configs: Vec<CoreConfig> = sim.iter().map(|&i| jobs[i].config.clone()).collect();
             let capture_start = Instant::now();
             let (prefetched, fresh) =
@@ -796,31 +779,19 @@ impl SweepSpec {
     /// never simulated).
     pub fn run_stall_report(&self) -> StallResults {
         let jobs = self.expand();
-        let results: Vec<(RunResult, StallReport)> = if self.settings.trace_cache {
-            let configs: Vec<CoreConfig> = jobs.iter().map(|j| j.config.clone()).collect();
-            let (traces, _) = prefetch_traces(
-                &self.settings,
-                &self.benches,
-                &configs,
-                self.stores.traces.as_deref(),
-            );
+        let configs: Vec<CoreConfig> = jobs.iter().map(|j| j.config.clone()).collect();
+        let (traces, _) =
+            prefetch_traces(&self.settings, &self.benches, &configs, self.stores.traces.as_deref());
+        let results: Vec<(RunResult, StallReport)> =
             run_indexed(jobs.len(), self.settings.threads, |i| {
                 let mut tally = StallTally::default();
-                let result = self.settings.run_shared_with_sink(
+                let result = self.settings.run_trace_with_sink(
                     &traces[i % self.benches.len()],
                     jobs[i].config.clone(),
                     &mut tally,
                 );
                 (result, tally.measured())
-            })
-        } else {
-            run_indexed(jobs.len(), self.settings.threads, |i| {
-                let mut tally = StallTally::default();
-                let result =
-                    self.settings.run_with_sink(&jobs[i].bench, jobs[i].config.clone(), &mut tally);
-                (result, tally.measured())
-            })
-        };
+            });
         let cells: Vec<StallCell> = jobs
             .iter()
             .zip(results)
@@ -849,9 +820,9 @@ impl SweepSpec {
 pub struct PreparedSweep {
     spec: SweepSpec,
     jobs: Vec<SweepJob>,
-    /// One shared trace per benchmark (empty with the trace cache off, or
-    /// when every cell came from the result cache).
-    traces: Vec<Arc<SharedTrace>>,
+    /// One shared trace per benchmark (empty when every cell came from
+    /// the result cache).
+    traces: Vec<Arc<Trace>>,
     cells: Vec<Mutex<Option<RunResult>>>,
     emit: Vec<usize>,
     sim: Vec<usize>,
@@ -912,25 +883,14 @@ impl PreparedSweep {
     pub fn run_cell(&self, index: usize) -> RunResult {
         let job = &self.jobs[index];
         let settings = &self.spec.settings;
-        let result = if settings.trace_cache {
-            // Jobs are expanded benchmark-major within each grid point,
-            // so a job's workload — and its shared trace — is its index
-            // modulo the benchmark count.
-            let trace = &self.traces[index % self.spec.benches.len()];
-            if self.sampled {
-                self.run_sampled_cell(&trace.to_owned_trace(), job.config.clone())
-            } else {
-                settings.run_shared(trace, job.config.clone())
-            }
-        } else if self.sampled {
-            // Sampling needs a captured stream to seek in, so each job
-            // captures its trace privately (mirrors
-            // [`RunSettings::run_job`]).
-            let budget = settings.trace_budget(&job.config);
-            let trace = settings.capture(&job.bench, budget);
-            self.run_sampled_cell(&trace, job.config.clone())
+        // Jobs are expanded benchmark-major within each grid point, so a
+        // job's workload — and its shared trace — is its index modulo the
+        // benchmark count.
+        let trace = &self.traces[index % self.spec.benches.len()];
+        let result = if self.sampled {
+            self.run_sampled_cell(trace, job.config.clone())
         } else {
-            settings.run(&job.bench, job.config.clone())
+            settings.run_trace_with_sink(trace, job.config.clone(), &mut NullSink)
         };
         if let Some(cache) = &self.spec.stores.results {
             cache.save(&cell_key(settings, job), &result);
@@ -1045,11 +1005,10 @@ impl StallResults {
 /// trajectory tracking (`BENCH_sweep.json` at the repository root).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepTiming {
-    /// Wall-clock of the trace capture/prefetch phase (zero with the
-    /// trace cache off).
+    /// Wall-clock of the trace capture/prefetch phase (zero when every
+    /// cell came from the result cache).
     pub capture: Duration,
-    /// Wall-clock of the simulation phase (replay, or inline execution
-    /// with the cache off).
+    /// Wall-clock of the simulation (replay) phase.
     pub replay: Duration,
     /// Wall-clock of the whole sweep, expansion and merging included.
     pub total: Duration,
@@ -1074,8 +1033,6 @@ pub struct SweepTiming {
     /// Trace-store lookups that missed (entry absent, corrupt, or too
     /// short for the requested budget).
     pub trace_store_misses: u64,
-    /// Whether the capture-once/replay-many path was used.
-    pub trace_cache: bool,
     /// Worker threads.
     pub threads: usize,
     /// Whether interval sampling ([`RunSettings::sample`]) was on. When
@@ -1091,7 +1048,7 @@ pub struct SweepTiming {
 }
 
 impl SweepTiming {
-    /// Nanoseconds of simulation (replay/inline) wall-clock per committed
+    /// Nanoseconds of simulation (replay) wall-clock per committed
     /// µop — the timing model's throughput figure, tracked across PRs in
     /// `BENCH_sweep.json` and reported by the `pipeline_cycle` criterion
     /// bench. Zero when no µops were simulated.
@@ -1127,14 +1084,13 @@ impl SweepTiming {
     /// ```
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"trace_cache\": {},\n  \"threads\": {},\n  \"jobs\": {},\n  \
+            "{{\n  \"threads\": {},\n  \"jobs\": {},\n  \
              \"uops\": {},\n  \"workloads\": {},\n  \"captures\": {},\n  \
              \"trace_store_hits\": {},\n  \"trace_store_misses\": {},\n  \
              \"result_cache_hits\": {},\n  \
              \"sampled\": {},\n  \"intervals_replayed\": {},\n  \"ff_uops\": {},\n  \
              \"capture_seconds\": {:.6},\n  \"replay_seconds\": {:.6},\n  \
              \"total_seconds\": {:.6},\n  \"ns_per_uop\": {:.1}\n}}\n",
-            self.trace_cache,
             self.threads,
             self.jobs,
             self.uops,
@@ -1413,36 +1369,15 @@ mod tests {
             .with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit));
         let grids = run_grid(&s, &benches, &[s.core(), vp.clone()]);
         assert_eq!(grids.len(), 2);
-        assert_eq!(grids[0].rows[0].1, s.run(&benches[0], s.core()));
-        assert_eq!(grids[1].rows[1].1, s.run(&benches[1], vp));
-    }
-
-    #[test]
-    fn trace_cache_off_is_byte_identical_to_on() {
-        let spec = SweepSpec {
-            settings: tiny(),
-            predictors: vec![PredictorKind::Lvp, PredictorKind::Vtage],
-            schemes: vec![SchemeChoice::Fpc],
-            recoveries: vec![RecoveryPolicy::SquashAtCommit],
-            benches: vec![benchmark("gzip").unwrap(), benchmark("mcf").unwrap()],
-            ..SweepSpec::default()
+        let inline = |b: &Benchmark, config: CoreConfig| {
+            vpsim_uarch::Simulator::new(config).run_with_warmup(
+                &(b.build)(&s.params()),
+                s.warmup,
+                s.measure,
+            )
         };
-        let cached = spec.run();
-        let inline = SweepSpec {
-            settings: RunSettings { trace_cache: false, ..spec.settings },
-            ..spec.clone()
-        }
-        .run();
-        assert_eq!(cached.table().to_csv(), inline.table().to_csv());
-        assert_eq!(cached.baseline.rows, inline.baseline.rows);
-        for ((pa, sa), (pb, sb)) in cached.points.iter().zip(&inline.points) {
-            assert_eq!(pa, pb);
-            assert_eq!(sa.rows, sb.rows);
-        }
-        // The timing record reflects the mode.
-        assert!(cached.timing.trace_cache && !inline.timing.trace_cache);
-        assert_eq!(inline.timing.captures, 0);
-        assert_eq!(cached.timing.jobs, spec.job_count());
+        assert_eq!(grids[0].rows[0].1, inline(&benches[0], s.core()));
+        assert_eq!(grids[1].rows[1].1, inline(&benches[1], vp));
     }
 
     #[test]
@@ -1465,7 +1400,6 @@ mod tests {
         assert!(t.ns_per_uop() > 0.0, "simulation took time: {:?}", t.replay);
         let json = t.to_json();
         for needle in [
-            "\"trace_cache\": true",
             "\"jobs\": 2",
             "\"uops\": 12000",
             "\"trace_store_hits\": 0",
@@ -1530,11 +1464,6 @@ mod tests {
         let parallel =
             SweepSpec { settings: RunSettings { threads: 4, ..settings }, ..spec.clone() }.run();
         assert_eq!(parallel.table().to_csv(), results.table().to_csv());
-        // And trace-cache off changes cost, not results.
-        let inline =
-            SweepSpec { settings: RunSettings { trace_cache: false, ..settings }, ..spec }.run();
-        assert_eq!(inline.table().to_csv(), results.table().to_csv());
-        assert!(inline.timing.sampled && inline.timing.intervals_replayed > 0);
     }
 
     #[test]

@@ -6,72 +6,18 @@
 //! (workload, scale, seed, length), so this cache captures each stream
 //! **once** per process and hands out `Arc<Trace>` clones to every
 //! consumer — worker threads of one sweep and successive experiments
-//! alike. See "Trace layer" in `ARCHITECTURE.md` for the dataflow and
-//! memory-footprint discussion; `trace_cache = off` (or the binaries'
-//! `--no-trace-cache`) bypasses the layer entirely and re-executes
-//! functionally inline, byte-identically.
+//! alike. With an on-disk [`TraceStore`], a miss falls through to the
+//! store before capturing, and a store hit replays straight out of the
+//! memory-mapped entry. See "Trace layer" in `ARCHITECTURE.md` for the
+//! dataflow and memory-footprint discussion.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::runner::RunSettings;
-use crate::store::{MappedTrace, TraceStore};
-use vpsim_isa::{Trace, TraceView};
+use crate::store::TraceStore;
+use vpsim_isa::Trace;
 use vpsim_workloads::Benchmark;
-
-/// A replayable trace that is either owned on the heap or mapped straight
-/// from a [`TraceStore`] entry file.
-///
-/// The sweep engine replays from a [`TraceView`] either way, so a store
-/// hit can stay zero-copy (page-cache backed, no decode of the big SoA
-/// sections) while a fresh capture or in-memory cache hit keeps sharing
-/// the owned `Arc<Trace>`.
-#[derive(Debug)]
-pub enum SharedTrace {
-    /// Heap-owned trace from a capture or the in-memory cache.
-    Owned(Arc<Trace>),
-    /// Validated store entry replayed in place (mmap or read fallback).
-    Mapped(MappedTrace),
-}
-
-impl SharedTrace {
-    /// Number of µop records.
-    pub fn len(&self) -> usize {
-        match self {
-            SharedTrace::Owned(trace) => trace.len(),
-            SharedTrace::Mapped(mapped) => mapped.len(),
-        }
-    }
-
-    /// `true` if the trace holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The borrowed view of a mapped entry, if this trace is one. Owned
-    /// traces replay through [`Trace::cursor`] instead (their sections
-    /// are already decoded; there is no raw-byte view to borrow).
-    pub fn mapped_view(&self) -> Option<TraceView<'_>> {
-        match self {
-            SharedTrace::Owned(_) => None,
-            SharedTrace::Mapped(mapped) => Some(mapped.view()),
-        }
-    }
-
-    /// An owned `Arc<Trace>`, decoding the mapped sections if necessary —
-    /// for consumers that need `&Trace` (interval sampling).
-    pub fn to_owned_trace(&self) -> Arc<Trace> {
-        match self {
-            SharedTrace::Owned(trace) => Arc::clone(trace),
-            SharedTrace::Mapped(mapped) => Arc::new(mapped.to_trace()),
-        }
-    }
-
-    /// `true` if this trace replays from a store entry in place.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, SharedTrace::Mapped(_))
-    }
-}
 
 /// What makes two captures interchangeable: the workload identity and the
 /// generation parameters that shape its program and data.
@@ -137,12 +83,19 @@ impl TraceCache {
 
     /// Like [`TraceCache::get`], but falling through to an on-disk
     /// [`TraceStore`] between the in-memory map and a fresh capture:
-    /// in-memory hit, else disk hit (counted on the store), else capture
-    /// — which is then persisted, so a capture made by one process is a
-    /// disk hit for every later one. Corrupt store entries are evicted
-    /// inside [`TraceStore::load`] (with a stderr warning) and simply
-    /// count as misses here — the recapture transparently heals the
-    /// store.
+    ///
+    /// * an in-memory hit is returned as is;
+    /// * otherwise a covering store entry is memory-mapped
+    ///   ([`TraceStore::map`], counted as a store hit) and returned
+    ///   *without* entering the in-memory map — it replays from the page
+    ///   cache, so the process never holds a heap copy of it;
+    /// * otherwise the trace is captured, saved to the store (so a
+    ///   capture made by one process is a store hit for every later one)
+    ///   and inserted.
+    ///
+    /// Corrupt store entries are evicted inside [`TraceStore::map`] (with
+    /// a stderr warning) and count as misses — the recapture transparently
+    /// heals the store.
     pub fn get_with_store(
         &self,
         settings: &RunSettings,
@@ -157,78 +110,16 @@ impl TraceCache {
             }
         }
         if let Some(store) = store {
-            match store.load(bench.name, settings.scale, settings.seed) {
+            match store.map(bench.name, settings.scale, settings.seed) {
                 Some(stored) if stored.covers(budget) => {
                     store.record_hit();
-                    let mut entries = self.entries.lock().unwrap();
-                    return match entries.get(&key) {
-                        // A racing worker established a covering entry
-                        // while we read the disk; keep it.
-                        Some(entry) if entry.covers(budget) => (Arc::clone(&entry.trace), false),
-                        _ => {
-                            let trace = Arc::clone(&stored.trace);
-                            entries.insert(
-                                key,
-                                Entry {
-                                    budget: stored.budget,
-                                    complete: stored.complete,
-                                    trace: Arc::clone(&trace),
-                                },
-                            );
-                            (trace, false)
-                        }
-                    };
+                    return (stored.trace, false);
                 }
                 _ => store.record_miss(),
             }
         }
-        self.capture(settings, bench, budget, store, key)
-    }
-
-    /// Like [`TraceCache::get_with_store`], but a covering store entry is
-    /// returned as a [`SharedTrace::Mapped`] replayed straight from the
-    /// entry file (page-cache backed — no decode, no big allocations)
-    /// instead of being decoded into the in-memory map. In-memory hits
-    /// and fresh captures come back as [`SharedTrace::Owned`].
-    pub fn get_shared_with_store(
-        &self,
-        settings: &RunSettings,
-        bench: &Benchmark,
-        budget: u64,
-        store: Option<&TraceStore>,
-    ) -> (SharedTrace, bool) {
-        let key = TraceKey { name: bench.name, scale: settings.scale, seed: settings.seed };
-        if let Some(entry) = self.entries.lock().unwrap().get(&key) {
-            if entry.covers(budget) {
-                return (SharedTrace::Owned(Arc::clone(&entry.trace)), false);
-            }
-        }
-        if let Some(store) = store {
-            match store.map(bench.name, settings.scale, settings.seed) {
-                Some(mapped) if mapped.covers(budget) => {
-                    store.record_hit();
-                    return (SharedTrace::Mapped(mapped), false);
-                }
-                _ => store.record_miss(),
-            }
-        }
-        let (trace, fresh) = self.capture(settings, bench, budget, store, key);
-        (SharedTrace::Owned(trace), fresh)
-    }
-
-    /// Capture tail shared by the owned and mapped lookup paths: build
-    /// the program, capture, persist to the store, and publish to the
-    /// in-memory map unless a racing worker beat us to a covering entry.
-    fn capture(
-        &self,
-        settings: &RunSettings,
-        bench: &Benchmark,
-        budget: u64,
-        store: Option<&TraceStore>,
-        key: TraceKey,
-    ) -> (Arc<Trace>, bool) {
-        let program = (bench.build)(&settings.params());
-        let trace = Arc::new(Trace::capture(&program, budget));
+        // Capture runs outside the lock (see `get`).
+        let trace = Arc::new(settings.capture(bench, budget));
         let complete = (trace.len() as u64) < budget;
         if let Some(store) = store {
             store.save(bench.name, settings.scale, settings.seed, budget, complete, &trace);
@@ -400,29 +291,27 @@ mod tests {
         let store = TraceStore::open(&dir).unwrap();
         let bench = workload("gzip").unwrap();
         let s = settings();
-        // Empty store: capture, owned, counted as a miss.
+        // Empty store: capture, insert, counted as a miss.
         let cache = TraceCache::new();
-        let (a, fresh) = cache.get_shared_with_store(&s, &bench, 1_000, Some(&store));
-        assert!(fresh && !a.is_mapped());
+        let (a, fresh) = cache.get_with_store(&s, &bench, 1_000, Some(&store));
+        assert!(fresh);
+        assert_eq!(cache.len(), 1);
         assert_eq!((store.hits(), store.misses()), (0, 1));
-        // Same cache again: in-memory hit, still owned.
-        let (b, fresh) = cache.get_shared_with_store(&s, &bench, 1_000, Some(&store));
-        assert!(!fresh && !b.is_mapped());
+        // Same cache again: in-memory hit sharing the capture; the store
+        // is not consulted.
+        let (b, fresh) = cache.get_with_store(&s, &bench, 1_000, Some(&store));
+        assert!(!fresh && Arc::ptr_eq(&a, &b));
         assert_eq!((store.hits(), store.misses()), (0, 1));
         // A fresh cache (new process): the persisted entry is mapped in
-        // place, not decoded into the map, and counted as a store hit.
+        // place, not copied into the map, and counted as a store hit.
         let fresh_cache = TraceCache::new();
-        let (c, fresh) = fresh_cache.get_shared_with_store(&s, &bench, 1_000, Some(&store));
-        assert!(!fresh && c.is_mapped());
+        let (c, fresh) = fresh_cache.get_with_store(&s, &bench, 1_000, Some(&store));
+        assert!(!fresh);
         assert_eq!((store.hits(), store.misses()), (1, 1));
         assert!(fresh_cache.is_empty(), "mapped hits must not fill the in-memory map");
-        // The mapped entry replays the exact owned stream.
-        let owned = a.to_owned_trace();
-        let view = c.mapped_view().expect("mapped trace has a view");
-        assert!(view.cursor().eq(owned.cursor()), "mapped replay matches owned");
-        assert_eq!(*c.to_owned_trace(), *owned);
-        assert_eq!(c.len(), owned.len());
-        assert!(!c.is_empty());
+        // The mapped entry replays the exact captured stream.
+        assert!(c.cursor().eq(a.cursor()), "mapped replay matches the capture");
+        assert_eq!(*c, *a);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -127,20 +127,19 @@ fn sweep_smoke_dump_matches_the_golden_file() {
 
 #[test]
 fn no_trace_cache_is_byte_identical_and_timing_json_lands() {
-    let file = TempScenario::new(
-        "cache.vps",
-        "warmup = 500\nmeasure = 2000\nthreads = 2\npredictors = vtage\nbenchmarks = gzip\n",
-    );
+    let text = "warmup = 500\nmeasure = 2000\nthreads = 2\npredictors = vtage\nbenchmarks = gzip\n";
+    let file = TempScenario::new("cache.vps", text);
+    let off = TempScenario::new("cache-off.vps", &format!("{text}trace_cache = off\n"));
+    // `trace_cache = off` still parses (older scenario files carry it)
+    // but changes nothing: same table, and it dumps as `on`.
     let cached = run(env!("CARGO_BIN_EXE_sweep"), &["--scenario", file.path(), "--csv"]);
-    let inline =
-        run(env!("CARGO_BIN_EXE_sweep"), &["--scenario", file.path(), "--no-trace-cache", "--csv"]);
-    assert_eq!(stdout(&cached), stdout(&inline), "the escape hatch must not change a byte");
-    // The flag is sugar for the scenario key, visible in the dump.
-    let dumped = stdout(&run(
-        env!("CARGO_BIN_EXE_sweep"),
-        &["--scenario", file.path(), "--no-trace-cache", "--dump-scenario"],
-    ));
-    assert!(dumped.contains("trace_cache = off"), "{dumped}");
+    let keyed_off = run(env!("CARGO_BIN_EXE_sweep"), &["--scenario", off.path(), "--csv"]);
+    assert_eq!(stdout(&cached), stdout(&keyed_off), "the no-op key must not change a byte");
+    let dumped = |path: &str| {
+        stdout(&run(env!("CARGO_BIN_EXE_sweep"), &["--scenario", path, "--dump-scenario"]))
+    };
+    assert!(dumped(off.path()).contains("trace_cache = on"));
+    assert_eq!(dumped(off.path()), dumped(file.path()));
     // --timing-json writes the phase breakdown.
     let json_path = std::env::temp_dir().join(format!("vpsim-timing-{}.json", std::process::id()));
     let out = run(
@@ -150,8 +149,8 @@ fn no_trace_cache_is_byte_identical_and_timing_json_lands() {
     assert!(out.status.success());
     let json = std::fs::read_to_string(&json_path).expect("timing json written");
     let _ = std::fs::remove_file(&json_path);
+    assert!(!json.contains("trace_cache"), "{json}");
     for needle in [
-        "\"trace_cache\": true",
         "\"jobs\": 2",
         "\"uops\": 5000",
         "\"workloads\": 1",
@@ -164,16 +163,6 @@ fn no_trace_cache_is_byte_identical_and_timing_json_lands() {
     ] {
         assert!(json.contains(needle), "missing {needle} in {json}");
     }
-}
-
-#[test]
-fn simulate_no_trace_cache_is_byte_identical() {
-    let args = ["k:constant", "--predictor", "lvp", "--warmup", "500", "--measure", "2000"];
-    let cached = run(env!("CARGO_BIN_EXE_simulate"), &args);
-    let mut inline_args = args.to_vec();
-    inline_args.push("--no-trace-cache");
-    let inline = run(env!("CARGO_BIN_EXE_simulate"), &inline_args);
-    assert_eq!(stdout(&cached), stdout(&inline));
 }
 
 #[test]

@@ -44,7 +44,6 @@ proptest! {
         scale in 1usize..6,
         seed in any::<u64>(),
         threads in 1usize..17,
-        trace_cache in any::<bool>(),
         sampled in any::<bool>(),
         sample_intervals in 1u64..100,
         sample_period in 1u64..100_000,
@@ -87,7 +86,7 @@ proptest! {
         });
         let scenario = Scenario {
             settings: vpsim_bench::RunSettings {
-                warmup, measure, scale, seed, threads, trace_cache, sample,
+                warmup, measure, scale, seed, threads, sample,
             },
             predictors,
             schemes,

@@ -1,22 +1,21 @@
 //! Allocation accounting of the trace-store read path.
 //!
-//! The hot path of a store-backed sweep is `TraceStore::load`: stat the
-//! entry, read it once into an exactly-sized buffer, verify the checksum,
-//! and decode the four SoA sections in place with `chunks_exact` — one
-//! allocation per section, plus the read buffer and path bookkeeping.
-//! This test pins that down with a counting global allocator: decoding is
-//! exactly one allocation per section, and the whole load path performs a
-//! small, **trace-size-independent** number of allocations (a regression
-//! here means someone reintroduced a grow-as-you-go read or a per-record
-//! allocation).
+//! A store-backed sweep opens entries with `TraceStore::map` (or `load`):
+//! stat the entry, map it (or read it once into an exactly-sized buffer),
+//! verify the checksums, and replay the record sections in place. This
+//! test pins that down with a counting global allocator:
 //!
-//! The mapped path (`TraceStore::map`) is held to a stricter bar: serving
-//! a store hit through the borrowed [`vpsim_isa::TraceView`] must not copy
-//! the trace body at all. The allocator also tracks the **largest single
-//! allocation** inside a counting window — mapping the entry and walking
-//! the full replay cursor must stay far below the body size, while the
-//! owned `load` necessarily allocates section-sized buffers (the contrast
-//! proves the measurement would catch a copy).
+//! * opening a serialized trace allocates a constant handful of times —
+//!   the buffer, the decoded static µop table and the storage box — and
+//!   the whole load path performs a small, **trace-size-independent**
+//!   number of allocations (a regression here means someone reintroduced
+//!   a grow-as-you-go read, a section decode or a per-record allocation);
+//! * the mapped path is held to a stricter bar: the allocator also tracks
+//!   the **largest single allocation** inside a counting window, and
+//!   mapping the entry, resuming a cursor mid-trace and walking the full
+//!   replay must stay far below the body size, while `load` necessarily
+//!   reads the body into one heap buffer (the contrast proves the
+//!   measurement would catch a copy).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,13 +98,13 @@ fn store_reads_decode_with_a_constant_allocation_count() {
     store.save("small", 1, 1, 2_000, true, &small);
     store.save("large", 1, 1, 64_000, true, &large);
 
-    // Decoding is exactly one allocation per SoA section (µops, record
-    // index, flags, payload) — `chunks_exact` in-place decode, no
-    // per-record or grow-as-you-go allocations.
+    // Opening serialized bytes copies them into one buffer, decodes the
+    // static µop table, and boxes the storage — no per-section or
+    // per-record allocations.
     let bytes = large.to_bytes();
     let (decoded, allocs) = count_allocations(|| Trace::from_bytes(&bytes).unwrap());
     assert_eq!(decoded, large);
-    assert_eq!(allocs, 4, "decode must allocate once per section");
+    assert_eq!(allocs, 3, "opening a trace allocates buffer, µop table and box");
 
     // A corrupt entry still fails cleanly under the counter (the decode
     // path allocates nothing extra to reject a bit flip).
@@ -116,7 +115,7 @@ fn store_reads_decode_with_a_constant_allocation_count() {
     assert!(err.is_err(), "a flipped bit must not decode");
 
     // The full disk path — path construction, open, stat, one
-    // exactly-sized read, checksum, decode, Arc — is a constant
+    // exactly-sized read, checksums, µop table, Arc — is a constant
     // allocation count, independent of how large the trace is.
     let (small_loaded, small_allocs) = count_allocations(|| store.load("small", 1, 1).unwrap());
     let (large_loaded, large_allocs) = count_allocations(|| store.load("large", 1, 1).unwrap());
@@ -126,14 +125,20 @@ fn store_reads_decode_with_a_constant_allocation_count() {
     assert!(large_allocs <= 16, "load path allocated {large_allocs} times");
 
     // The mapped path is zero-copy: a store hit maps the entry file and
-    // replays straight out of it. Opening the mapping AND walking the
-    // full replay cursor must never allocate anything close to the trace
-    // body — only path strings and small fixed-size bookkeeping.
+    // replays straight out of it. Opening the mapping, resuming a cursor
+    // halfway in, AND walking the full replay must never allocate
+    // anything close to the trace body — only path strings and small
+    // fixed-size bookkeeping.
+    let mut half = large.cursor();
+    half.by_ref().take(large.len() / 2).for_each(drop);
+    let (pos, payload_pos) = (half.pos(), half.payload_pos());
     let body_len = bytes.len() as u64;
     let ((), map_allocs) = count_allocations(|| {
         let mapped = store.map("large", 1, 1).expect("mapped store hit");
         assert!(mapped.is_mapped(), "store hit is served by mmap");
-        assert_eq!(mapped.view().cursor().count(), large.len(), "cursor walks every record");
+        let resumed = mapped.trace.cursor_resume(pos, payload_pos).expect("in range");
+        assert_eq!(resumed.count(), large.len() - pos, "resumed cursor walks the rest");
+        assert_eq!(mapped.trace.cursor().count(), large.len(), "cursor walks every record");
     });
     let map_peak = peak_allocation_bytes();
     assert!(
@@ -143,13 +148,13 @@ fn store_reads_decode_with_a_constant_allocation_count() {
     );
     assert!(map_allocs <= 16, "mapped path allocated {map_allocs} times");
 
-    // By contrast, materializing the owned trace necessarily allocates
-    // section-sized buffers — the counter proves the measurement above
-    // would have caught a copy.
-    let (_owned, _) = count_allocations(|| store.load("large", 1, 1).unwrap());
+    // By contrast, the heap-read path necessarily allocates a body-sized
+    // buffer — the counter proves the measurement above would have
+    // caught a copy.
+    let (_loaded, _) = count_allocations(|| store.load("large", 1, 1).unwrap());
     assert!(
         peak_allocation_bytes() >= body_len / 8,
-        "owned materialization allocates section-sized buffers"
+        "load reads the entry into one body-sized buffer"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,7 @@
 use vpsim_bench::sweep::{run_grid, SchemeChoice, SweepSpec};
 use vpsim_bench::RunSettings;
 use vpsim_core::PredictorKind;
-use vpsim_uarch::{RecoveryPolicy, VpConfig};
+use vpsim_uarch::{RecoveryPolicy, Simulator, VpConfig};
 use vpsim_workloads::benchmark;
 
 fn tiny() -> RunSettings {
@@ -46,13 +46,16 @@ fn engine_results_match_direct_simulator_runs() {
     let mut spec = small_grid();
     spec.settings.threads = 4;
     let results = spec.run();
-    // Baseline row 0 must equal a by-hand run of the same benchmark.
+    // Baseline row 0 must equal a by-hand inline run of the same
+    // benchmark (the functional executor streaming into the core).
     let s = spec.settings;
-    let by_hand = s.run(&spec.benches[0], s.core());
-    assert_eq!(results.baseline.rows[0].1, by_hand);
+    let by_hand = |bench: &vpsim_workloads::Benchmark, config| {
+        Simulator::new(config).run_with_warmup(&(bench.build)(&s.params()), s.warmup, s.measure)
+    };
+    assert_eq!(results.baseline.rows[0].1, by_hand(&spec.benches[0], s.core()));
     // And the first grid point must match its by-hand configuration.
     let (point, suite) = &results.points[0];
-    let by_hand_vp = s.run(&spec.benches[1], s.core().with_vp(point.vp_config()));
+    let by_hand_vp = by_hand(&spec.benches[1], s.core().with_vp(point.vp_config()));
     assert_eq!(suite.rows[1].1, by_hand_vp);
 }
 

@@ -59,6 +59,4 @@ pub use inst::{FuClass, Inst, Opcode};
 pub use memory::SparseMemory;
 pub use program::{Program, ProgramError};
 pub use reg::{Reg, RegClass, NUM_ARCH_REGS};
-pub use trace::{
-    InstSource, Trace, TraceBlob, TraceCursor, TraceDecodeError, TraceView, ViewCursor,
-};
+pub use trace::{fnv1a, InstSource, Trace, TraceCursor, TraceDecodeError};

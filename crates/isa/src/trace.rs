@@ -7,10 +7,12 @@
 //! cell. This module splits the two concerns:
 //!
 //! * [`Trace`] — a struct-of-arrays record of the dynamic stream, captured
-//!   **once** per (program, length) from the executor.
-//! * [`TraceCursor`] — a cheap replay iterator that reconstructs the exact
-//!   [`DynInst`] sequence from a `&Trace` with no register file, no sparse
-//!   memory and no per-µop semantics.
+//!   **once** per (program, length) from the executor, or opened in place
+//!   from its serialized form (a heap buffer or a memory-mapped store
+//!   entry) without copying the record sections.
+//! * [`TraceCursor`] — the one replay iterator: it reconstructs the exact
+//!   [`DynInst`] sequence from a `&Trace`, however the trace is held, with
+//!   no register file, no sparse memory and no per-µop semantics.
 //! * [`InstSource`] — the abstraction the cycle-level core consumes: both
 //!   `Executor` (streaming, capture path) and `TraceCursor` (replay path)
 //!   implement it, and the two produce byte-identical streams.
@@ -27,6 +29,10 @@
 //! [`DynInst`], so a 250 k-µop capture (the default sweep sizing plus
 //! in-flight slack) is ≈ 4–6 MB per workload. [`Trace::approx_bytes`]
 //! reports the concrete number.
+//!
+//! The sections are kept in their little-endian wire form in memory too,
+//! so a capture serializes with plain copies and a serialized buffer
+//! replays without decoding.
 //!
 //! # Examples
 //!
@@ -56,6 +62,7 @@ use crate::inst::{Inst, Opcode};
 use crate::program::{Program, INST_BYTES};
 use crate::reg::{Reg, NUM_ARCH_REGS};
 use std::fmt;
+use std::ops::Range;
 
 /// A source of dynamic instructions for the cycle-level core.
 ///
@@ -81,12 +88,6 @@ impl InstSource for TraceCursor<'_> {
     }
 }
 
-impl InstSource for ViewCursor<'_> {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        self.next()
-    }
-}
-
 // Per-record flag bits.
 const HAS_RESULT: u8 = 1 << 0;
 const HAS_MEM_ADDR: u8 = 1 << 1;
@@ -99,24 +100,56 @@ const PAYLOAD_BITS: u8 = HAS_RESULT | HAS_MEM_ADDR | HAS_STORE_VALUE | DIVERGES;
 
 /// A captured dynamic instruction stream in struct-of-arrays form.
 ///
+/// The static µop table is decoded; the three dynamic sections (record
+/// index, flags, interleaved payload) stay in their little-endian wire
+/// form and are held one of two ways:
+///
+/// * buffers grown in place by [`Trace::capture`];
+/// * one validated serialized buffer handed to [`Trace::from_buffer`] —
+///   a heap `Vec<u8>`, or any other byte container such as a memory
+///   mapping of a store entry, which is then replayed without a copy.
+///
+/// Either way [`Trace::cursor`] replays through the same [`TraceCursor`],
+/// and equality compares content, not how it is held.
+///
 /// Self-contained: the static µop table is copied in, so a trace outlives
 /// the [`Program`] it came from and can be shared across threads (e.g. via
-/// `Arc<Trace>`) without lifetime ties. The source module's header
-/// comment walks through the layout and footprint arithmetic.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `Arc<Trace>`) without lifetime ties. The module docs walk through the
+/// layout and footprint arithmetic.
 pub struct Trace {
-    /// Static µop table; `index` entries point into it.
+    /// Static µop table; record indices point into it.
     insts: Vec<Inst>,
-    /// Static instruction index per dynamic record.
-    index: Vec<u32>,
-    /// Presence/outcome flag byte per dynamic record.
-    flags: Vec<u8>,
-    /// One interleaved stream of the optional payloads, in flag-bit order
-    /// per record (result, effective address, store value, diverging
-    /// `next_pc`) — replay consumes it strictly sequentially, so the
-    /// cursor needs a single position and the prefetcher a single stream.
-    payload: Vec<u64>,
+    sections: Sections,
 }
+
+/// Storage of a trace's dynamic sections.
+enum Sections {
+    /// Grown in place by [`Trace::capture`].
+    Captured {
+        /// Static instruction index per record (`u32`, little-endian).
+        index: Vec<u8>,
+        /// Presence/outcome flag byte per record.
+        flags: Vec<u8>,
+        /// One interleaved stream of the optional payloads (`u64`,
+        /// little-endian), in flag-bit order per record (result,
+        /// effective address, store value, diverging `next_pc`) — replay
+        /// consumes it strictly sequentially, so a cursor needs a single
+        /// position and the prefetcher a single stream.
+        payload: Vec<u8>,
+    },
+    /// A serialized trace validated by [`Trace::from_buffer`], with the
+    /// byte ranges of its three dynamic sections.
+    Serialized {
+        bytes: Box<dyn AsRef<[u8]> + Send + Sync>,
+        index: Range<usize>,
+        flags: Range<usize>,
+        payload: Range<usize>,
+    },
+}
+
+/// The three dynamic sections (record index, flags, payload) as their
+/// little-endian wire bytes.
+type Parts<'a> = (&'a [u8], &'a [u8], &'a [u8]);
 
 impl Trace {
     /// Capture up to `limit` dynamic instructions of `program` from a
@@ -128,130 +161,105 @@ impl Trace {
     /// `warmup + measure` plus the core's maximum in-flight capacity
     /// (`vpsim-uarch` exposes it as `CoreConfig::trace_budget`).
     pub fn capture(program: &Program, limit: u64) -> Trace {
-        let mut trace = Trace {
-            insts: program.insts().to_vec(),
-            index: Vec::new(),
-            flags: Vec::new(),
-            payload: Vec::new(),
-        };
+        let (mut index, mut flags, mut payload) = (Vec::new(), Vec::new(), Vec::new());
         let limit = usize::try_from(limit).unwrap_or(usize::MAX);
         for di in Executor::new(program).take(limit) {
-            trace.push(&di);
+            debug_assert_eq!(di.seq, flags.len() as u64, "records must be dense from 0");
+            let mut f = 0u8;
+            let mut push = |bit: u8, value: u64| {
+                f |= bit;
+                payload.extend_from_slice(&value.to_le_bytes());
+            };
+            if let Some(v) = di.result {
+                push(HAS_RESULT, v);
+            }
+            if let Some(a) = di.mem_addr {
+                push(HAS_MEM_ADDR, a);
+            }
+            if let Some(v) = di.store_value {
+                push(HAS_STORE_VALUE, v);
+            }
+            if di.next_pc != di.pc + INST_BYTES {
+                push(DIVERGES, di.next_pc);
+            }
+            if di.taken {
+                f |= TAKEN;
+            }
+            index.extend_from_slice(&di.index.to_le_bytes());
+            flags.push(f);
         }
-        trace
+        Trace {
+            insts: program.insts().to_vec(),
+            sections: Sections::Captured { index, flags, payload },
+        }
     }
 
-    fn push(&mut self, di: &DynInst) {
-        debug_assert_eq!(di.seq, self.index.len() as u64, "records must be dense from 0");
-        let mut flags = 0u8;
-        if let Some(v) = di.result {
-            flags |= HAS_RESULT;
-            self.payload.push(v);
+    /// The record index, flag and payload sections, however they are held.
+    fn parts(&self) -> Parts<'_> {
+        match &self.sections {
+            Sections::Captured { index, flags, payload } => (index, flags, payload),
+            Sections::Serialized { bytes, index, flags, payload } => {
+                let buf: &[u8] = (**bytes).as_ref();
+                (&buf[index.clone()], &buf[flags.clone()], &buf[payload.clone()])
+            }
         }
-        if let Some(a) = di.mem_addr {
-            flags |= HAS_MEM_ADDR;
-            self.payload.push(a);
-        }
-        if let Some(v) = di.store_value {
-            flags |= HAS_STORE_VALUE;
-            self.payload.push(v);
-        }
-        if di.taken {
-            flags |= TAKEN;
-        }
-        if di.next_pc != di.pc + INST_BYTES {
-            flags |= DIVERGES;
-            self.payload.push(di.next_pc);
-        }
-        self.index.push(di.index);
-        self.flags.push(flags);
     }
 
     /// Number of dynamic instructions captured.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.parts().1.len()
     }
 
     /// `true` if nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
-    /// Approximate heap footprint in bytes (the SoA payloads plus the
-    /// static µop table).
+    /// Approximate footprint in bytes (the SoA sections plus the static
+    /// µop table), whether the sections live on the heap or in a mapping.
     pub fn approx_bytes(&self) -> usize {
-        self.insts.len() * std::mem::size_of::<Inst>()
-            + self.index.len() * std::mem::size_of::<u32>()
-            + self.flags.len()
-            + self.payload.len() * std::mem::size_of::<u64>()
+        let (index, flags, payload) = self.parts();
+        self.insts.len() * std::mem::size_of::<Inst>() + index.len() + flags.len() + payload.len()
     }
 
     /// A replay iterator over the captured stream, starting at `seq` 0.
     pub fn cursor(&self) -> TraceCursor<'_> {
-        TraceCursor { trace: self, pos: 0, payload_pos: 0 }
-    }
-
-    /// Payload-stream position corresponding to record position `pos`:
-    /// the number of payload slots consumed by all earlier records (each
-    /// contributes one slot per payload-bearing flag bit).
-    fn payload_pos_at(&self, pos: usize) -> usize {
-        self.flags[..pos].iter().map(|f| (f & PAYLOAD_BITS).count_ones() as usize).sum()
-    }
-
-    /// A replay cursor positioned at record `pos` (clamped to the trace
-    /// length), as if a fresh cursor had consumed the first `pos` records.
-    /// Costs one popcount pass over the flag bytes up to `pos`; use
-    /// [`Trace::cursor_resume`] with a checkpointed payload position to
-    /// seek in O(1).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vpsim_isa::{ProgramBuilder, Reg, Trace};
-    /// let mut b = ProgramBuilder::new();
-    /// b.load_imm(Reg::int(1), 3);
-    /// b.addi(Reg::int(2), Reg::int(1), 1);
-    /// b.halt();
-    /// let trace = Trace::capture(&b.build()?, 100);
-    /// let mut skipped = trace.cursor();
-    /// skipped.next();
-    /// assert_eq!(trace.cursor_at(1).collect::<Vec<_>>(), skipped.collect::<Vec<_>>());
-    /// # Ok::<(), vpsim_isa::ProgramError>(())
-    /// ```
-    pub fn cursor_at(&self, pos: usize) -> TraceCursor<'_> {
-        let pos = pos.min(self.len());
-        TraceCursor { trace: self, pos, payload_pos: self.payload_pos_at(pos) }
+        let (index, flags, payload) = self.parts();
+        TraceCursor { insts: &self.insts, index, flags, payload, pos: 0, payload_pos: 0 }
     }
 
     /// Rebuild a cursor from checkpointed `(pos, payload_pos)` coordinates
     /// in O(1) — the seek half of the sampling layer's serialized
-    /// checkpoints. The coordinates are bounds-checked (and, in debug
-    /// builds, verified against the flag stream); mismatched coordinates
-    /// from a stale or foreign checkpoint are an error, never an
-    /// out-of-bounds replay.
+    /// checkpoints.
+    ///
+    /// Each coordinate is bounds-checked on its own: a record position
+    /// past the end or a payload position past the payload stream is an
+    /// error. Whether the two agree with each other is *not* checked (that
+    /// would cost a pass over the flags up to `pos`). A cursor resumed at
+    /// in-range but mismatched coordinates — say, from another trace's
+    /// checkpoint — replays a wrong stream and ends early once the payload
+    /// stream runs dry; it never reads out of bounds or panics.
     pub fn cursor_resume(
         &self,
         pos: usize,
         payload_pos: usize,
     ) -> Result<TraceCursor<'_>, &'static str> {
-        if pos > self.len() {
+        let mut cursor = self.cursor();
+        if pos > cursor.flags.len() {
             return Err("checkpoint position past the end of the trace");
         }
-        if payload_pos > self.payload.len() {
+        if payload_pos > cursor.payload.len() / 8 {
             return Err("checkpoint payload position past the payload stream");
         }
-        debug_assert_eq!(
-            payload_pos,
-            self.payload_pos_at(pos),
-            "checkpoint coordinates must be mutually consistent"
-        );
-        Ok(TraceCursor { trace: self, pos, payload_pos })
+        cursor.pos = pos;
+        cursor.payload_pos = payload_pos;
+        Ok(cursor)
     }
 
-    /// Serialize into the checksummed binary format described in the
-    /// [`Trace`] docs: a magic/version header, the four SoA sections each
-    /// prefixed with a little-endian `u64` element count, and a trailing
-    /// FNV-1a 64 checksum over everything before it.
+    /// Serialize into the checksummed binary format: a magic/version
+    /// header, the four SoA sections each prefixed with a little-endian
+    /// `u64` element count, and a trailing [`fnv1a`] checksum over
+    /// everything before it.
     ///
     /// [`Trace::from_bytes`] round-trips the result exactly:
     ///
@@ -265,6 +273,7 @@ impl Trace {
     /// # Ok::<(), vpsim_isa::ProgramError>(())
     /// ```
     pub fn to_bytes(&self) -> Vec<u8> {
+        let (index, flags, payload) = self.parts();
         let mut out = Vec::with_capacity(MAGIC.len() + self.approx_bytes() + 5 * 8);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(self.insts.len() as u64).to_le_bytes());
@@ -275,257 +284,125 @@ impl Trace {
             out.push(encode_reg(inst.src2));
             out.extend_from_slice(&inst.imm.to_le_bytes());
         }
-        out.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        for &index in &self.index {
-            out.extend_from_slice(&index.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.flags.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.flags);
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        for &payload in &self.payload {
-            out.extend_from_slice(&payload.to_le_bytes());
-        }
+        out.extend_from_slice(&(flags.len() as u64).to_le_bytes());
+        out.extend_from_slice(index);
+        out.extend_from_slice(&(flags.len() as u64).to_le_bytes());
+        out.extend_from_slice(flags);
+        out.extend_from_slice(&(payload.len() as u64 / 8).to_le_bytes());
+        out.extend_from_slice(payload);
         let checksum = fnv1a(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 
-    /// Deserialize a trace produced by [`Trace::to_bytes`].
-    ///
-    /// Every failure mode is an error, never a panic: bad magic, any
-    /// truncation or trailing garbage, checksum mismatch (a single flipped
-    /// bit anywhere is caught), unknown opcode/register codes, and
-    /// cross-section inconsistencies (record counts that disagree, a
-    /// record pointing past the µop table, a payload stream whose length
-    /// does not match the flag bits).
+    /// Deserialize a trace produced by [`Trace::to_bytes`] into a heap
+    /// copy of `bytes` — [`Trace::from_buffer`] over `bytes.to_vec()`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        TraceBlob::parse(bytes).map(TraceBlob::into_trace)
+        Trace::from_buffer(bytes.to_vec())
+    }
+
+    /// Open a serialized trace (produced by [`Trace::to_bytes`]) in place:
+    /// `bytes` becomes the trace's storage and the record sections are
+    /// replayed straight out of it, never copied. `bytes` is any byte
+    /// container — a `Vec<u8>`, or a memory mapping of a store entry.
+    ///
+    /// All validation happens here, once. Every failure mode is an error,
+    /// never a panic: bad magic, any truncation or trailing garbage,
+    /// checksum mismatch (a single flipped bit anywhere is caught), unknown
+    /// opcode/register codes, and cross-section inconsistencies (record
+    /// counts that disagree, a record pointing past the µop table, a
+    /// payload stream whose length does not match the flag bits). Only
+    /// the small static µop table is decoded.
+    pub fn from_buffer(
+        bytes: impl AsRef<[u8]> + Send + Sync + 'static,
+    ) -> Result<Trace, TraceDecodeError> {
+        let (insts, [index, flags, payload]) = parse(bytes.as_ref())?;
+        let sections = Sections::Serialized { bytes: Box::new(bytes), index, flags, payload };
+        Ok(Trace { insts, sections })
     }
 }
 
-/// A validated serialized trace over any byte container, replayable
-/// without materializing the owned [`Trace`] form.
-///
-/// [`TraceBlob::parse`] performs **all** of [`Trace::from_bytes`]'
-/// validation once — magic, checksum, per-section decode checks, and
-/// cross-section consistency — but keeps the three big dynamic sections
-/// (record index, flags, payload) as byte ranges into the original
-/// buffer instead of copying them into vectors. Only the small static
-/// µop table is decoded eagerly (its opcode/register bytes need
-/// validation anyway).
-///
-/// [`TraceBlob::view`] then hands out a cheap borrowed [`TraceView`]
-/// whose [`ViewCursor`] replays the exact [`DynInst`] stream straight
-/// from the serialized bytes — the zero-copy half of the trace store's
-/// mmap-backed load path. `B` is any byte container (`&[u8]`, `Vec<u8>`,
-/// a memory mapping…), so the blob can own the backing storage and be
-/// shared across threads.
-///
-/// # Examples
-///
-/// ```
-/// use vpsim_isa::{ProgramBuilder, Reg, Trace, TraceBlob};
-/// let mut b = ProgramBuilder::new();
-/// b.load_imm(Reg::int(1), 7);
-/// b.halt();
-/// let trace = Trace::capture(&b.build()?, 100);
-/// let blob = TraceBlob::parse(trace.to_bytes()).unwrap();
-/// let replayed: Vec<_> = blob.view().cursor().collect();
-/// assert_eq!(replayed, trace.cursor().collect::<Vec<_>>());
-/// # Ok::<(), vpsim_isa::ProgramError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct TraceBlob<B> {
-    bytes: B,
-    /// Decoded static µop table (small; validated eagerly).
-    insts: Vec<Inst>,
-    /// Byte range of the record-index section (4 bytes per record, LE).
-    index: std::ops::Range<usize>,
-    /// Byte range of the flag section (1 byte per record).
-    flags: std::ops::Range<usize>,
-    /// Byte range of the payload section (8 bytes per slot, LE).
-    payload: std::ops::Range<usize>,
+/// Validate a serialized trace and locate its dynamic sections: the
+/// decoded static table plus the byte ranges of the index, flag and
+/// payload sections.
+fn parse(buf: &[u8]) -> Result<(Vec<Inst>, [Range<usize>; 3]), TraceDecodeError> {
+    use TraceDecodeError::*;
+    let mut r = Reader { bytes: buf, pos: 0 };
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(BadMagic);
+    }
+    // The static table is decoded in place with `chunks_exact` — exactly
+    // one allocation; the dynamic sections are only bounds-checked and
+    // recorded as ranges.
+    let n_insts = r.len_prefix(12)?;
+    let inst_bytes = r.take(n_insts * 12)?;
+    let mut insts = Vec::with_capacity(n_insts);
+    for rec in inst_bytes.chunks_exact(12) {
+        insts.push(Inst {
+            op: Opcode::from_code(rec[0]).ok_or(BadOpcode(rec[0]))?,
+            dst: decode_reg(rec[1])?,
+            src1: decode_reg(rec[2])?,
+            src2: decode_reg(rec[3])?,
+            imm: i64::from_le_bytes(rec[4..12].try_into().unwrap()),
+        });
+    }
+    let n_index = r.len_prefix(4)?;
+    let index_start = r.pos;
+    let index_bytes = r.take(n_index * 4)?;
+    let index = index_start..r.pos;
+    let n_flags = r.len_prefix(1)?;
+    let flags_start = r.pos;
+    let flag_bytes = r.take(n_flags)?;
+    let flags = flags_start..r.pos;
+    let n_payload = r.len_prefix(8)?;
+    let payload_start = r.pos;
+    r.take(n_payload * 8)?;
+    let payload = payload_start..r.pos;
+    let body_end = r.pos;
+    let found = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
+    if r.pos != buf.len() {
+        return Err(TrailingBytes(buf.len() - r.pos));
+    }
+    let expected = fnv1a(&buf[..body_end]);
+    if found != expected {
+        return Err(ChecksumMismatch { expected, found });
+    }
+    // Cross-section consistency: a structurally broken (but checksum-valid)
+    // buffer is rejected here rather than replayed.
+    if n_index != n_flags {
+        return Err(Inconsistent("record index and flag sections differ in length"));
+    }
+    if index_bytes
+        .chunks_exact(4)
+        .any(|c| u32::from_le_bytes(c.try_into().unwrap()) as usize >= insts.len())
+    {
+        return Err(Inconsistent("record points past the static µop table"));
+    }
+    let want_payload: usize =
+        flag_bytes.iter().map(|f| (f & PAYLOAD_BITS).count_ones()).sum::<u32>() as usize;
+    if n_payload != want_payload {
+        return Err(Inconsistent("payload stream length does not match flag bits"));
+    }
+    Ok((insts, [index, flags, payload]))
 }
 
-impl<B: AsRef<[u8]>> TraceBlob<B> {
-    /// Validate a serialized trace (produced by [`Trace::to_bytes`]) and
-    /// index its sections without copying them. Rejects exactly what
-    /// [`Trace::from_bytes`] rejects; the two share this implementation.
-    pub fn parse(bytes: B) -> Result<TraceBlob<B>, TraceDecodeError> {
-        use TraceDecodeError::*;
-        let buf = bytes.as_ref();
-        let mut r = Reader { bytes: buf, pos: 0 };
-        if r.take(MAGIC.len())? != MAGIC {
-            return Err(BadMagic);
-        }
-        // The static table is decoded in place with `chunks_exact` —
-        // exactly one allocation; the dynamic sections are only
-        // bounds-checked and recorded as ranges.
-        let n_insts = r.len_prefix(12)?;
-        let inst_bytes = r.take(n_insts * 12)?;
-        let mut insts = Vec::with_capacity(n_insts);
-        for rec in inst_bytes.chunks_exact(12) {
-            insts.push(Inst {
-                op: Opcode::from_code(rec[0]).ok_or(BadOpcode(rec[0]))?,
-                dst: decode_reg(rec[1])?,
-                src1: decode_reg(rec[2])?,
-                src2: decode_reg(rec[3])?,
-                imm: i64::from_le_bytes(rec[4..12].try_into().unwrap()),
-            });
-        }
-        let n_index = r.len_prefix(4)?;
-        let index_start = r.pos;
-        let index_bytes = r.take(n_index * 4)?;
-        let index = index_start..r.pos;
-        let n_flags = r.len_prefix(1)?;
-        let flags_start = r.pos;
-        let flag_bytes = r.take(n_flags)?;
-        let flags = flags_start..r.pos;
-        let n_payload = r.len_prefix(8)?;
-        let payload_start = r.pos;
-        r.take(n_payload * 8)?;
-        let payload = payload_start..r.pos;
-        let body_end = r.pos;
-        let found = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
-        if r.pos != buf.len() {
-            return Err(TrailingBytes(buf.len() - r.pos));
-        }
-        let expected = fnv1a(&buf[..body_end]);
-        if found != expected {
-            return Err(ChecksumMismatch { expected, found });
-        }
-        // Cross-section consistency: replay must never index out of
-        // bounds, so a structurally broken (but checksum-valid) buffer is
-        // rejected here rather than panicking in the cursor.
-        if n_index != n_flags {
-            return Err(Inconsistent("record index and flag sections differ in length"));
-        }
-        if index_bytes
-            .chunks_exact(4)
-            .any(|c| u32::from_le_bytes(c.try_into().unwrap()) as usize >= insts.len())
-        {
-            return Err(Inconsistent("record points past the static µop table"));
-        }
-        let want_payload: usize =
-            flag_bytes.iter().map(|f| (f & PAYLOAD_BITS).count_ones()).sum::<u32>() as usize;
-        if n_payload != want_payload {
-            return Err(Inconsistent("payload stream length does not match flag bits"));
-        }
-        Ok(TraceBlob { bytes, insts, index, flags, payload })
-    }
-
-    /// Number of dynamic records in the serialized trace.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// `true` if the trace holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-
-    /// The backing byte container the blob was parsed from.
-    pub fn bytes(&self) -> &B {
-        &self.bytes
-    }
-
-    /// A borrowed struct-of-arrays view over the validated sections.
-    /// Cheap (slice arithmetic only); any number of views and cursors can
-    /// replay the same blob concurrently.
-    pub fn view(&self) -> TraceView<'_> {
-        let buf = self.bytes.as_ref();
-        TraceView {
-            insts: &self.insts,
-            index: &buf[self.index.clone()],
-            flags: &buf[self.flags.clone()],
-            payload: &buf[self.payload.clone()],
-        }
-    }
-
-    /// Materialize the owned [`Trace`], consuming the blob (the static
-    /// table moves; only the dynamic sections are decoded — one exact
-    /// allocation each, same as the historical decode path).
-    pub fn into_trace(self) -> Trace {
-        let buf = self.bytes.as_ref();
-        let index_bytes = &buf[self.index.clone()];
-        let mut index = Vec::with_capacity(index_bytes.len() / 4);
-        index
-            .extend(index_bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())));
-        let flags = buf[self.flags.clone()].to_vec();
-        let payload_bytes = &buf[self.payload.clone()];
-        let mut payload = Vec::with_capacity(payload_bytes.len() / 8);
-        payload.extend(
-            payload_bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-        );
-        Trace { insts: self.insts, index, flags, payload }
-    }
-
-    /// Materialize the owned [`Trace`] without consuming the blob (clones
-    /// the static table in addition to decoding the dynamic sections).
-    pub fn to_trace(&self) -> Trace {
-        let mut trace = TraceBlob {
-            bytes: self.bytes.as_ref(),
-            insts: Vec::new(),
-            index: self.index.clone(),
-            flags: self.flags.clone(),
-            payload: self.payload.clone(),
-        }
-        .into_trace();
-        trace.insts = self.insts.clone();
-        trace
+impl PartialEq for Trace {
+    fn eq(&self, other: &Trace) -> bool {
+        self.insts == other.insts && self.parts() == other.parts()
     }
 }
 
-/// A borrowed struct-of-arrays view over a serialized trace, obtained
-/// from [`TraceBlob::view`]. The three dynamic sections stay in their
-/// little-endian wire form and are decoded per access (`from_le_bytes`
-/// on byte chunks — alignment-free, so the backing buffer can sit at any
-/// offset of a mapped file).
-#[derive(Debug, Clone, Copy)]
-pub struct TraceView<'a> {
-    insts: &'a [Inst],
-    index: &'a [u8],
-    flags: &'a [u8],
-    payload: &'a [u8],
-}
+impl Eq for Trace {}
 
-impl<'a> TraceView<'a> {
-    /// Number of dynamic records.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// `true` if the view holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-
-    /// A replay iterator over the serialized stream, starting at `seq` 0.
-    /// Yields exactly what [`Trace::cursor`] yields for the trace these
-    /// bytes serialize.
-    pub fn cursor(&self) -> ViewCursor<'a> {
-        ViewCursor {
-            insts: self.insts,
-            index: self.index,
-            flags: self.flags,
-            payload: self.payload,
-            pos: 0,
-            payload_pos: 0,
-        }
-    }
-
-    /// A replay cursor positioned at record `pos` (clamped to the view
-    /// length), as if a fresh cursor had consumed the first `pos`
-    /// records. Costs one popcount pass over the flag bytes up to `pos` —
-    /// the mirror of [`Trace::cursor_at`].
-    pub fn cursor_at(&self, pos: usize) -> ViewCursor<'a> {
-        let pos = pos.min(self.len());
-        let payload_pos: usize =
-            self.flags[..pos].iter().map(|f| (f & PAYLOAD_BITS).count_ones() as usize).sum();
-        let mut cursor = self.cursor();
-        cursor.pos = pos;
-        cursor.payload_pos = payload_pos;
-        cursor
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (_, flags, payload) = self.parts();
+        f.debug_struct("Trace")
+            .field("insts", &self.insts.len())
+            .field("records", &flags.len())
+            .field("payload_slots", &(payload.len() / 8))
+            .field("serialized", &matches!(self.sections, Sections::Serialized { .. }))
+            .finish()
     }
 }
 
@@ -548,10 +425,16 @@ fn decode_reg(code: u8) -> Result<Option<Reg>, TraceDecodeError> {
     }
 }
 
-/// FNV-1a 64 over a byte slice — the integrity checksum of the serialized
-/// trace form. Not cryptographic; it guards against storage corruption
-/// (bit flips, truncation), not adversaries.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over a byte slice — the integrity checksum that ends every
+/// serialized format in the workspace (traces, run results, sampling
+/// checkpoints, store entries). Not cryptographic; it guards against
+/// storage corruption (bit flips, truncation), not adversaries.
+///
+/// ```
+/// assert_eq!(vpsim_isa::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_ne!(vpsim_isa::fnv1a(b"a"), vpsim_isa::fnv1a(b"b"));
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
@@ -588,7 +471,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Why [`Trace::from_bytes`] rejected a buffer.
+/// Why [`Trace::from_buffer`] rejected a buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceDecodeError {
     /// The buffer does not start with the trace magic/version prefix.
@@ -633,20 +516,24 @@ impl fmt::Display for TraceDecodeError {
 impl std::error::Error for TraceDecodeError {}
 
 /// Replay iterator over a [`Trace`]: yields the captured [`DynInst`]
-/// stream exactly, in order, at a few loads per µop.
+/// stream exactly, in order, at a few loads per µop, reading the record
+/// sections in their little-endian form wherever they live.
 ///
-/// Obtain one with [`Trace::cursor`]; any number of cursors may replay the
-/// same shared trace concurrently.
+/// Obtain one with [`Trace::cursor`] or [`Trace::cursor_resume`]; any
+/// number of cursors may replay the same shared trace concurrently.
 #[derive(Debug, Clone)]
 pub struct TraceCursor<'a> {
-    trace: &'a Trace,
+    insts: &'a [Inst],
+    index: &'a [u8],
+    flags: &'a [u8],
+    payload: &'a [u8],
     /// Next record position (== the `seq` it will yield).
     pos: usize,
     /// Next unconsumed slot of the interleaved payload stream.
     payload_pos: usize,
 }
 
-impl<'a> TraceCursor<'a> {
+impl TraceCursor<'_> {
     /// Record position — the `seq` the next [`InstSource::next_inst`] call
     /// will yield.
     pub fn pos(&self) -> usize {
@@ -659,23 +546,6 @@ impl<'a> TraceCursor<'a> {
     pub fn payload_pos(&self) -> usize {
         self.payload_pos
     }
-
-    /// The trace this cursor replays.
-    pub fn trace(&self) -> &'a Trace {
-        self.trace
-    }
-
-    /// Seek to the start of interval `index` of a `period`-sized
-    /// partitioning that begins at record `base` — the addressing scheme
-    /// of the sampling layer (`base` is the end of the global warm-up,
-    /// interval `i` covers records `[base + i·period, base + (i+1)·period)`).
-    /// Positions past the end of the trace clamp to the end. Costs one
-    /// popcount pass over the flag bytes up to the target.
-    pub fn seek_interval(&mut self, base: u64, period: u64, index: u64) {
-        let target = base.saturating_add(index.saturating_mul(period));
-        let target = usize::try_from(target).unwrap_or(usize::MAX);
-        *self = self.trace.cursor_at(target);
-    }
 }
 
 impl Iterator for TraceCursor<'_> {
@@ -683,101 +553,28 @@ impl Iterator for TraceCursor<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<DynInst> {
-        let t = self.trace;
-        let index = *t.index.get(self.pos)?;
-        let flags = t.flags[self.pos];
-        let pc = index as u64 * INST_BYTES;
-        // Payloads were pushed in flag-bit order; consume them the same
-        // way from the single sequential stream.
-        let mut p = self.payload_pos;
-        let mut pull = |bit: u8| {
-            if flags & bit != 0 {
-                let v = t.payload[p];
-                p += 1;
-                Some(v)
-            } else {
-                None
-            }
-        };
-        let result = pull(HAS_RESULT);
-        let mem_addr = pull(HAS_MEM_ADDR);
-        let store_value = pull(HAS_STORE_VALUE);
-        let next_pc = match pull(DIVERGES) {
-            Some(target) => target,
-            None => pc + INST_BYTES,
-        };
-        self.payload_pos = p;
-        let seq = self.pos as u64;
-        self.pos += 1;
-        Some(DynInst {
-            seq,
-            pc,
-            index,
-            inst: t.insts[index as usize],
-            result,
-            mem_addr,
-            store_value,
-            taken: flags & TAKEN != 0,
-            next_pc,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.trace.len() - self.pos;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for TraceCursor<'_> {}
-
-/// Replay iterator over a borrowed [`TraceView`]: yields the identical
-/// [`DynInst`] stream a [`TraceCursor`] would for the owned decode of
-/// the same bytes, but reads the record index and payload sections
-/// straight out of their little-endian wire form (`from_le_bytes` on
-/// byte chunks — no alignment requirement on the backing buffer).
-///
-/// Obtain one with [`TraceView::cursor`]; any number of cursors may
-/// replay the same view concurrently.
-#[derive(Debug, Clone)]
-pub struct ViewCursor<'a> {
-    insts: &'a [Inst],
-    index: &'a [u8],
-    flags: &'a [u8],
-    payload: &'a [u8],
-    /// Next record position (== the `seq` it will yield).
-    pos: usize,
-    /// Next unconsumed slot of the interleaved payload stream.
-    payload_pos: usize,
-}
-
-impl Iterator for ViewCursor<'_> {
-    type Item = DynInst;
-
-    #[inline]
-    fn next(&mut self) -> Option<DynInst> {
         let flags = *self.flags.get(self.pos)?;
-        let index = u32::from_le_bytes(self.index[self.pos * 4..][..4].try_into().unwrap());
+        let at = self.pos * 4;
+        let index = u32::from_le_bytes(self.index.get(at..at + 4)?.try_into().ok()?);
+        let inst = *self.insts.get(index as usize)?;
         let pc = index as u64 * INST_BYTES;
         // Payloads were pushed in flag-bit order; consume them the same
-        // way from the single sequential stream.
-        let mut p = self.payload_pos;
+        // way from the single sequential stream. A stream that runs dry
+        // (coordinates resumed out of step with the flags) ends replay.
         let payload = self.payload;
-        let mut pull = |bit: u8| {
-            if flags & bit != 0 {
-                let v = u64::from_le_bytes(payload[p * 8..][..8].try_into().unwrap());
-                p += 1;
-                Some(v)
-            } else {
-                None
+        let mut p = self.payload_pos;
+        let mut pull = |bit: u8| -> Option<Option<u64>> {
+            if flags & bit == 0 {
+                return Some(None);
             }
+            let v = u64::from_le_bytes(payload.get(p * 8..p * 8 + 8)?.try_into().ok()?);
+            p += 1;
+            Some(Some(v))
         };
-        let result = pull(HAS_RESULT);
-        let mem_addr = pull(HAS_MEM_ADDR);
-        let store_value = pull(HAS_STORE_VALUE);
-        let next_pc = match pull(DIVERGES) {
-            Some(target) => target,
-            None => pc + INST_BYTES,
-        };
+        let result = pull(HAS_RESULT)?;
+        let mem_addr = pull(HAS_MEM_ADDR)?;
+        let store_value = pull(HAS_STORE_VALUE)?;
+        let next_pc = pull(DIVERGES)?.unwrap_or(pc + INST_BYTES);
         self.payload_pos = p;
         let seq = self.pos as u64;
         self.pos += 1;
@@ -785,7 +582,7 @@ impl Iterator for ViewCursor<'_> {
             seq,
             pc,
             index,
-            inst: self.insts[index as usize],
+            inst,
             result,
             mem_addr,
             store_value,
@@ -800,7 +597,7 @@ impl Iterator for ViewCursor<'_> {
     }
 }
 
-impl ExactSizeIterator for ViewCursor<'_> {}
+impl ExactSizeIterator for TraceCursor<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -947,54 +744,44 @@ mod tests {
     }
 
     #[test]
-    fn cursor_at_matches_a_skipped_fresh_cursor() {
-        let p = mixed_program();
-        let trace = Trace::capture(&p, u64::MAX);
-        for pos in [0, 1, 7, trace.len() / 2, trace.len() - 1, trace.len(), trace.len() + 10] {
-            let mut skipped = trace.cursor();
-            for _ in 0..pos.min(trace.len()) {
-                skipped.next();
-            }
-            let seeked = trace.cursor_at(pos);
-            assert_eq!(seeked.pos(), pos.min(trace.len()));
-            assert_eq!(seeked.collect::<Vec<_>>(), skipped.collect::<Vec<_>>(), "pos {pos}");
-        }
-    }
-
-    #[test]
-    fn seek_interval_addresses_fixed_size_intervals() {
-        let p = mixed_program();
-        let trace = Trace::capture(&p, u64::MAX);
-        let (base, period) = (5u64, 16u64);
-        let mut cursor = trace.cursor();
-        for i in 0..4 {
-            cursor.seek_interval(base, period, i);
-            let want = ((base + i * period) as usize).min(trace.len());
-            assert_eq!(cursor.pos(), want, "interval {i}");
-            assert_eq!(
-                cursor.clone().collect::<Vec<_>>(),
-                trace.cursor_at(want).collect::<Vec<_>>()
-            );
-        }
-        // Seeking far past the end clamps to an exhausted cursor.
-        cursor.seek_interval(base, period, u64::MAX);
-        assert_eq!(cursor.next(), None);
-    }
-
-    #[test]
     fn cursor_resume_restores_checkpointed_coordinates() {
         let p = mixed_program();
-        let trace = Trace::capture(&p, u64::MAX);
-        let mut cursor = trace.cursor();
-        for _ in 0..trace.len() / 2 {
-            cursor.next();
+        let captured = Trace::capture(&p, u64::MAX);
+        let serialized = Trace::from_bytes(&captured.to_bytes()).unwrap();
+        for trace in [&captured, &serialized] {
+            let mut cursor = trace.cursor();
+            for _ in 0..trace.len() / 2 {
+                cursor.next();
+            }
+            let (pos, payload_pos) = (cursor.pos(), cursor.payload_pos());
+            let resumed = trace.cursor_resume(pos, payload_pos).unwrap();
+            assert_eq!(resumed.collect::<Vec<_>>(), cursor.collect::<Vec<_>>());
+            // Out-of-bounds coordinates are rejected, never replayed.
+            assert!(trace.cursor_resume(trace.len() + 1, 0).is_err());
+            assert!(trace.cursor_resume(0, usize::MAX).is_err());
         }
-        let (pos, payload_pos) = (cursor.pos(), cursor.payload_pos());
-        let resumed = trace.cursor_resume(pos, payload_pos).unwrap();
-        assert_eq!(resumed.collect::<Vec<_>>(), cursor.collect::<Vec<_>>());
-        // Out-of-bounds coordinates are rejected, never replayed.
-        assert!(trace.cursor_resume(trace.len() + 1, 0).is_err());
-        assert!(trace.cursor_resume(0, usize::MAX).is_err());
+    }
+
+    #[test]
+    fn cursor_resume_at_mismatched_coordinates_ends_without_panicking() {
+        let p = mixed_program();
+        let captured = Trace::capture(&p, u64::MAX);
+        let serialized = Trace::from_bytes(&captured.to_bytes()).unwrap();
+        for trace in [&captured, &serialized] {
+            let mut walked = trace.cursor();
+            walked.by_ref().for_each(drop);
+            let payload_end = walked.payload_pos();
+            // Each coordinate is in range, but together they disagree: at
+            // record 0 the payload stream is already exhausted.
+            let replayed = trace.cursor_resume(0, payload_end).unwrap().count();
+            assert!(replayed < trace.len(), "replay ends once the payload stream runs dry");
+            // Every other in-range pairing ends too, without panicking.
+            for pos in 0..=trace.len() {
+                for payload_pos in [0, payload_end / 2, payload_end] {
+                    trace.cursor_resume(pos, payload_pos).unwrap().for_each(drop);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1008,82 +795,30 @@ mod tests {
     }
 
     #[test]
-    fn view_cursor_replays_the_owned_stream_exactly() {
+    fn serialized_trace_replays_the_captured_stream_in_place() {
         let p = mixed_program();
         for limit in [0u64, 1, 7, u64::MAX] {
-            let trace = Trace::capture(&p, limit);
-            let blob = TraceBlob::parse(trace.to_bytes()).unwrap();
-            assert_eq!(blob.len(), trace.len(), "limit {limit}");
-            let view = blob.view();
-            assert_eq!(view.len(), trace.len());
-            let mut cursor = view.cursor();
-            assert_eq!(cursor.len(), trace.len());
-            let replayed: Vec<_> = view.cursor().collect();
-            let owned: Vec<_> = trace.cursor().collect();
-            assert_eq!(replayed, owned, "limit {limit}");
-            // The InstSource path agrees with the Iterator path.
-            let mut trace_cursor = trace.cursor();
+            let captured = Trace::capture(&p, limit);
+            let serialized = Trace::from_buffer(captured.to_bytes()).unwrap();
+            assert_eq!(serialized, captured, "limit {limit}");
+            assert_eq!(serialized.len(), captured.len());
+            assert_eq!(serialized.approx_bytes(), captured.approx_bytes());
+            let mut cursor = serialized.cursor();
+            assert_eq!(cursor.len(), captured.len());
+            // The InstSource path agrees with the Iterator path, and two
+            // simultaneous cursors over one buffer replay independently.
+            let mut other = serialized.cursor();
+            let mut reference = captured.cursor();
             loop {
-                let (a, b) = (cursor.next_inst(), trace_cursor.next_inst());
-                assert_eq!(a, b);
+                let (a, b) = (cursor.next_inst(), reference.next_inst());
+                assert_eq!(a, b, "limit {limit}");
+                assert_eq!(other.next(), b);
                 if a.is_none() {
                     break;
                 }
             }
+            // A serialized trace re-serializes to the same bytes.
+            assert_eq!(serialized.to_bytes(), captured.to_bytes());
         }
-    }
-
-    #[test]
-    fn view_cursor_at_matches_owned_cursor_at() {
-        let p = mixed_program();
-        let trace = Trace::capture(&p, u64::MAX);
-        let blob = TraceBlob::parse(trace.to_bytes()).unwrap();
-        let view = blob.view();
-        for pos in [0, 1, 7, trace.len() / 2, trace.len(), trace.len() + 10] {
-            assert_eq!(
-                view.cursor_at(pos).collect::<Vec<_>>(),
-                trace.cursor_at(pos).collect::<Vec<_>>(),
-                "pos {pos}"
-            );
-        }
-    }
-
-    #[test]
-    fn blob_rejects_exactly_what_from_bytes_rejects() {
-        let p = mixed_program();
-        let bytes = Trace::capture(&p, 30).to_bytes();
-        // Every single-bit flip, truncation, and extension is rejected by
-        // both decode paths with the same error (they share the parser).
-        for pos in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 1 << (pos % 8);
-            let owned = Trace::from_bytes(&corrupt);
-            let blob = TraceBlob::parse(corrupt.as_slice());
-            assert_eq!(owned.as_ref().err(), blob.as_ref().err(), "flip at byte {pos}");
-            assert!(blob.is_err(), "flip at byte {pos} went undetected");
-        }
-        for cut in [0, 1, MAGIC.len(), bytes.len() / 2, bytes.len() - 1] {
-            assert!(TraceBlob::parse(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn blob_into_trace_and_to_trace_match_the_owned_decode() {
-        let p = mixed_program();
-        let trace = Trace::capture(&p, u64::MAX);
-        let bytes = trace.to_bytes();
-        let blob = TraceBlob::parse(bytes.as_slice()).unwrap();
-        assert_eq!(blob.to_trace(), trace);
-        assert_eq!(blob.into_trace(), trace);
-    }
-
-    #[test]
-    fn blob_owns_its_buffer_and_views_are_shareable() {
-        let p = mixed_program();
-        let trace = Trace::capture(&p, u64::MAX);
-        let blob = TraceBlob::parse(trace.to_bytes()).unwrap();
-        // Two simultaneous cursors over one blob replay independently.
-        let (a, b) = (blob.view().cursor(), blob.view().cursor());
-        assert_eq!(a.collect::<Vec<_>>(), b.collect::<Vec<_>>());
     }
 }

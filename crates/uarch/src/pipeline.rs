@@ -413,33 +413,16 @@ impl Simulator {
         sample: SampleConfig,
     ) -> SampledResult {
         let plan = SamplePlan::new(warmup, measure, sample, self.config.seed);
-        let mut warmer = Warmer::new(&self.config);
-        let mut cursor = trace.cursor();
         let mut per_interval = Vec::new();
         let mut detailed_uops = 0;
-        for (start, dwarm) in plan.detailed_starts() {
-            while (cursor.pos() as u64) < start {
-                match cursor.next() {
-                    Some(di) => warmer.warm_uop(&di),
-                    None => break,
-                }
-            }
-            if (cursor.pos() as u64) < start {
-                break; // Trace exhausted before this interval: skip the rest.
-            }
-            let cp = Checkpoint::capture(
-                &warmer,
-                cursor.pos() as u64,
-                cursor.payload_pos() as u64,
-                dwarm,
-            );
+        let ff_uops = self.fast_forward(trace, &plan, |cp| {
             let res = self
                 .run_interval_from(trace, &cp, plan.measure_per_interval)
                 .expect("an in-memory checkpoint matches its own trace and config");
             per_interval.push(res);
-            detailed_uops += dwarm + plan.measure_per_interval;
-        }
-        SampledResult { per_interval, ff_uops: warmer.ff_uops, detailed_uops }
+            detailed_uops += cp.detailed_warmup() + plan.measure_per_interval;
+        });
+        SampledResult { per_interval, ff_uops, detailed_uops }
     }
 
     /// Produce the serialized-state [`Checkpoint`]s [`Simulator::run_sampled`]
@@ -455,9 +438,25 @@ impl Simulator {
         sample: SampleConfig,
     ) -> Vec<Checkpoint> {
         let plan = SamplePlan::new(warmup, measure, sample, self.config.seed);
+        let mut checkpoints = Vec::new();
+        self.fast_forward(trace, &plan, |cp| checkpoints.push(cp));
+        checkpoints
+    }
+
+    /// The functional fast-forward pass behind [`Simulator::run_sampled`]
+    /// and [`Simulator::sample_checkpoints`]: warm the front-end
+    /// structures along the trace and hand `at_checkpoint` each selected
+    /// interval's [`Checkpoint`] as the pass reaches it, so a caller that
+    /// consumes them holds one at a time. Intervals past the end of the
+    /// trace are skipped. Returns the µops fast-forwarded.
+    fn fast_forward(
+        &self,
+        trace: &Trace,
+        plan: &SamplePlan,
+        mut at_checkpoint: impl FnMut(Checkpoint),
+    ) -> u64 {
         let mut warmer = Warmer::new(&self.config);
         let mut cursor = trace.cursor();
-        let mut checkpoints = Vec::new();
         for (start, dwarm) in plan.detailed_starts() {
             while (cursor.pos() as u64) < start {
                 match cursor.next() {
@@ -466,24 +465,26 @@ impl Simulator {
                 }
             }
             if (cursor.pos() as u64) < start {
-                break;
+                break; // Trace exhausted before this interval: skip the rest.
             }
-            checkpoints.push(Checkpoint::capture(
-                &warmer,
-                cursor.pos() as u64,
-                cursor.payload_pos() as u64,
-                dwarm,
-            ));
+            let (pos, payload_pos) = (cursor.pos() as u64, cursor.payload_pos() as u64);
+            at_checkpoint(Checkpoint::capture(&warmer, pos, payload_pos, dwarm));
         }
-        checkpoints
+        warmer.ff_uops
     }
 
     /// Replay one detailed interval of `measure` committed µops from a
     /// [`Checkpoint`]: seek the trace to the checkpointed coordinates in
     /// O(1), restore the warm front-end structures, simulate the
     /// checkpoint's detailed warmup with statistics discarded, then
-    /// measure. Fails (never panics) when the checkpoint does not match
-    /// `trace` or this simulator's configuration geometry.
+    /// measure.
+    ///
+    /// Fails (never panics) when the checkpoint's geometry does not match
+    /// this simulator's configuration, or its trace coordinates are out of
+    /// range for `trace` (see [`Trace::cursor_resume`]). Trace *identity*
+    /// is not checked: a checkpoint taken on another trace whose
+    /// coordinates happen to be in range replays a meaningless interval
+    /// (one that may end early) and returns `Ok`.
     pub fn run_interval_from(
         &self,
         trace: &Trace,

@@ -1,5 +1,6 @@
 //! Simulation run results.
 
+use vpsim_isa::fnv1a;
 use vpsim_stats::{BackToBackStats, BranchStats, CacheStats, RunMetrics, VpStats};
 
 /// Per-cause cycle attribution for the front half of the machine.
@@ -209,16 +210,6 @@ impl RunResult {
             &mut self.stalls.commit_idle_cycles,
         ]
     }
-}
-
-/// FNV-1a 64 — storage-corruption checksum (not cryptographic).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 pub(crate) fn diff_cache(after: &CacheStats, before: &CacheStats) -> CacheStats {

@@ -25,7 +25,7 @@ use crate::result::RunResult;
 use vpsim_branch::{Btb, Ras, Tage};
 use vpsim_core::state::{StateReader, StateWriter};
 use vpsim_core::HistoryState;
-use vpsim_isa::{DynInst, Opcode};
+use vpsim_isa::{fnv1a, DynInst, Opcode};
 use vpsim_mem::MemoryHierarchy;
 
 /// Magic + format version prefix of the [`Checkpoint`] binary form. Bump
@@ -379,16 +379,6 @@ impl SampledResult {
     pub fn interval_ipcs(&self) -> Vec<f64> {
         self.per_interval.iter().map(|r| r.metrics.ipc()).collect()
     }
-}
-
-/// FNV-1a 64 — storage-corruption checksum (not cryptographic).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
