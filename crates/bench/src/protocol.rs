@@ -204,12 +204,7 @@ pub fn table_header(nbytes: usize) -> String {
 /// client can rebuild the exact table — IPC alone would lose coverage
 /// and accuracy columns.
 pub fn result_line(index: usize, result: &RunResult) -> String {
-    let bytes = result.to_bytes();
-    let mut hex = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        hex.push_str(&format!("{b:02x}"));
-    }
-    format!("RESULT {index} {hex}")
+    format!("RESULT {index} {}", crate::store::hex(&result.to_bytes()))
 }
 
 /// Parse a `RESULT <index> <hex>` frame back into its cell index and
@@ -222,11 +217,13 @@ pub fn parse_result(line: &str) -> Option<Result<(usize, RunResult), String>> {
         if hex.len() % 2 != 0 {
             return Err("odd-length RESULT payload".to_string());
         }
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err("non-hex RESULT payload".to_string());
+        }
         let bytes: Vec<u8> = (0..hex.len() / 2)
-            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16))
-            .collect::<Result<_, _>>()
-            .map_err(|_| "non-hex RESULT payload".to_string())?;
-        Ok((index, RunResult::from_bytes(&bytes)?))
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("checked hex digits"))
+            .collect();
+        Ok((index, RunResult::from_bytes(&bytes).map_err(|e| e.to_string())?))
     })();
     Some(parsed)
 }
@@ -359,6 +356,8 @@ mod tests {
         assert!(parse_result("RESULT x ff").unwrap().is_err());
         assert!(parse_result("RESULT 1 f").unwrap().is_err());
         assert!(parse_result("RESULT 1 zz").unwrap().is_err());
+        assert!(parse_result("RESULT 1 +f").unwrap().is_err());
+        assert!(parse_result("RESULT 1 €a").unwrap().is_err(), "non-ASCII must not panic");
     }
 
     #[test]

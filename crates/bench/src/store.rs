@@ -2,13 +2,16 @@
 //!
 //! Two stores, both plain directories of checksummed binary files, both
 //! safe to share between processes (writes are atomic temp-file renames,
-//! and every load re-verifies the embedded checksums):
+//! and every load verifies the entry's checksum, once):
 //!
 //! * [`TraceStore`] — captured [`Trace`]s keyed by workload × scale ×
-//!   seed. The in-memory [`crate::trace_cache::TraceCache`] falls through
+//!   seed; an entry is the trace's `vpstrc2` frame ([`vpsim_isa::frame`])
+//!   exactly as [`Trace::to_bytes`] writes it. The in-memory
+//!   [`crate::trace_cache::TraceCache`] falls through
 //!   to it (see [`crate::trace_cache::TraceCache::get_with_store`]), so a
 //!   capture made by one process is a disk hit for every later process.
-//! * [`ResultCache`] — finished [`RunResult`]s keyed by the canonical
+//! * [`ResultCache`] — finished [`RunResult`]s, each entry exactly the
+//!   record [`RunResult::to_bytes`] writes, keyed by the canonical
 //!   hash of one grid cell ([`cell_key`]): sizing + workload + grid-point
 //!   label + the fully-resolved [`vpsim_uarch::CoreConfig`]. The whole simulator is
 //!   deterministic, so a cached cell is *the* answer — the sweep engine
@@ -18,9 +21,9 @@
 //! is dependency-free by design) over canonical *rendered* text, which
 //! makes the result-cache key automatically invariant under `.vps`
 //! render→parse round-trips: equal scenarios render identically, so they
-//! hash identically. A corrupt or truncated entry is detected by its
-//! checksum on load, logged to stderr, evicted, and transparently
-//! re-produced by the caller.
+//! hash identically. A corrupt or truncated entry, or one written by an
+//! older format version, is rejected by its decoder on load, logged to
+//! stderr, evicted, and transparently re-produced by the caller.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -29,7 +32,7 @@ use std::sync::Arc;
 
 use crate::runner::RunSettings;
 use crate::sweep::SweepJob;
-use vpsim_isa::{fnv1a, Trace};
+use vpsim_isa::Trace;
 use vpsim_uarch::RunResult;
 
 // ---------------------------------------------------------------------------
@@ -49,7 +52,8 @@ const SHA256_K: [u32; 64] = [
 
 /// SHA-256 digest of `data` — the content-addressing hash for store
 /// filenames and scenario identities. (Integrity checksums inside the
-/// serialized formats themselves use the cheaper FNV-1a 64.)
+/// serialized formats themselves are far cheaper; see
+/// [`vpsim_isa::frame::checksum`].)
 pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h: [u32; 8] = [
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -121,29 +125,24 @@ pub fn hex(bytes: &[u8]) -> String {
 // Atomic file plumbing shared by both stores
 // ---------------------------------------------------------------------------
 
-/// Write `body` + trailing FNV-1a 64 to `path` atomically: temp file in
-/// the same directory, then rename, so concurrent readers only ever see a
-/// complete entry (or none).
-fn write_checksummed(dir: &Path, path: &Path, body: &[u8]) -> Result<(), String> {
-    let mut data = Vec::with_capacity(body.len() + 8);
-    data.extend_from_slice(body);
-    data.extend_from_slice(&fnv1a(body).to_le_bytes());
+/// Write `data` to `path` atomically: temp file in the same directory,
+/// then rename, so concurrent readers only ever see a complete entry (or
+/// none).
+fn write_atomic(dir: &Path, path: &Path, data: &[u8]) -> Result<(), String> {
     let tmp = dir.join(format!(
         ".tmp-{}-{}",
         std::process::id(),
         path.file_name().and_then(|n| n.to_str()).unwrap_or("entry")
     ));
-    std::fs::write(&tmp, &data).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
+    std::fs::write(&tmp, data).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         format!("cannot rename {} into place: {e}", tmp.display())
     })
 }
 
-/// Read (or, with `map`, memory-map) `path` and verify its trailing
-/// checksum; `Ok(None)` when the entry does not exist, `Err` when it
-/// exists but is corrupt or truncated (the caller logs and evicts). The
-/// returned bytes exclude the checksum.
+/// Read (or, with `map`, memory-map) the entry at `path`; `Ok(None)` when
+/// it does not exist. Verifying the bytes is the decoder's job.
 ///
 /// The read path fills one exactly-sized buffer (stat, then `read_exact`)
 /// — unlike `fs::read`'s grow-as-you-go loop this performs one allocation
@@ -151,7 +150,7 @@ fn write_checksummed(dir: &Path, path: &Path, body: &[u8]) -> Result<(), String>
 /// the body at all, falling back to the read when mapping is unavailable.
 /// Entries are written by atomic rename, so the open file cannot change
 /// under the stat (see [`Mmap`]).
-fn read_checksummed(path: &Path, map: bool) -> Result<Option<EntryBytes>, String> {
+fn read_entry(path: &Path, map: bool) -> Result<Option<EntryBytes>, String> {
     use std::io::Read;
     let mut file = match std::fs::File::open(path) {
         Ok(file) => file,
@@ -159,25 +158,12 @@ fn read_checksummed(path: &Path, map: bool) -> Result<Option<EntryBytes>, String
         Err(e) => return Err(format!("cannot read: {e}")),
     };
     let len = file.metadata().map_err(|e| format!("cannot stat: {e}"))?.len() as usize;
-    if len < 8 {
-        return Err("truncated entry (shorter than its checksum)".into());
+    if let Some(mapping) = map.then(|| Mmap::of_file(&file, len)).flatten() {
+        return Ok(Some(EntryBytes::Mapped(mapping)));
     }
-    let storage = match map.then(|| Mmap::of_file(&file, len)).flatten() {
-        Some(mapping) => EntryStorage::Mapped(mapping),
-        None => {
-            let mut data = vec![0u8; len];
-            file.read_exact(&mut data).map_err(|e| format!("cannot read: {e}"))?;
-            EntryStorage::Heap(data)
-        }
-    };
-    let all = storage.bytes();
-    let body_len = len - 8;
-    let found = u64::from_le_bytes(all[body_len..].try_into().unwrap());
-    let expected = fnv1a(&all[..body_len]);
-    if found != expected {
-        return Err(format!("checksum mismatch (computed {expected:#018x}, stored {found:#018x})"));
-    }
-    Ok(Some(EntryBytes { storage, body: 0..body_len }))
+    let mut data = vec![0u8; len];
+    file.read_exact(&mut data).map_err(|e| format!("cannot read: {e}"))?;
+    Ok(Some(EntryBytes::Heap(data)))
 }
 
 /// Log a corrupt entry to stderr and evict it so the next producer
@@ -290,17 +276,9 @@ impl fmt::Debug for Mmap {
     }
 }
 
-/// The verified bytes of one store entry: its storage plus the sub-range
-/// `AsRef<[u8]>` yields — the entry body without its checksum trailer,
-/// narrowed to the serialized [`Trace`] for trace-store entries.
+/// The bytes of one store entry.
 #[derive(Debug)]
-struct EntryBytes {
-    storage: EntryStorage,
-    body: std::ops::Range<usize>,
-}
-
-#[derive(Debug)]
-enum EntryStorage {
+enum EntryBytes {
     /// Page-cache-backed mapping: a store hit costs page faults on the
     /// bytes actually replayed, not an allocation plus a full copy.
     Mapped(Mmap),
@@ -309,18 +287,12 @@ enum EntryStorage {
     Heap(Vec<u8>),
 }
 
-impl EntryStorage {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            EntryStorage::Mapped(m) => m,
-            EntryStorage::Heap(v) => v,
-        }
-    }
-}
-
 impl AsRef<[u8]> for EntryBytes {
     fn as_ref(&self) -> &[u8] {
-        &self.storage.bytes()[self.body.clone()]
+        match self {
+            EntryBytes::Mapped(m) => m,
+            EntryBytes::Heap(v) => v,
+        }
     }
 }
 
@@ -328,31 +300,20 @@ impl AsRef<[u8]> for EntryBytes {
 // TraceStore
 // ---------------------------------------------------------------------------
 
-/// Header prefix of a trace-store entry (the budget/complete metadata in
-/// front of the serialized [`Trace`]).
-const TRACE_ENTRY_MAGIC: &[u8; 8] = b"vpstse1\n";
-
-/// A trace fetched from a [`TraceStore`], with the capture metadata the
-/// coverage check needs. The trace replays straight out of the entry's
-/// bytes: a memory mapping for [`TraceStore::map`], one heap read for
-/// [`TraceStore::load`].
+/// A trace fetched from a [`TraceStore`]. The trace replays straight out
+/// of the entry's bytes: a memory mapping for [`TraceStore::map`], one
+/// heap read for [`TraceStore::load`].
 pub struct StoredTrace {
     /// The stored trace, backed by the entry's bytes.
     pub trace: Arc<Trace>,
-    /// Capture limit the trace was taken with.
+    /// The trace's capture limit, [`Trace::limit`].
     pub budget: u64,
-    /// The program ended before the budget: the trace is the complete
-    /// execution and satisfies any request.
+    /// The trace is the whole execution, [`Trace::is_complete`].
     pub complete: bool,
     mapped: bool,
 }
 
 impl StoredTrace {
-    /// `true` if this entry satisfies a request for `budget` µops.
-    pub fn covers(&self, budget: u64) -> bool {
-        self.complete || self.budget >= budget
-    }
-
     /// The capture limit (the `budget` field, for call chains such as
     /// `store.map(..)?.budget()`).
     pub fn budget(&self) -> u64 {
@@ -395,11 +356,12 @@ impl TraceStore {
     /// Open the stored capture for a workload identity, if present and
     /// intact, memory-mapping the entry file (full-read fallback when
     /// mapping is unavailable): no section is copied, and replay faults in
-    /// only the pages it touches. Corrupt entries (bad outer checksum, bad
-    /// header, or a trace body that fails [`Trace::from_buffer`]) are
-    /// logged to stderr, evicted, and reported as absent — the caller
-    /// recaptures and the next [`TraceStore::save`] heals the store. Does
-    /// not touch the hit/miss counters; coverage is the caller's call.
+    /// only the pages it touches. An entry [`Trace::from_buffer`] rejects
+    /// — corrupt, truncated, or of an older format version — is logged to
+    /// stderr, evicted, and reported as absent: the caller recaptures and
+    /// the next [`TraceStore::save`] heals the store. Does not touch the
+    /// hit/miss counters; coverage ([`Trace::covers`]) is the caller's
+    /// call.
     ///
     /// Safety of the mapping against concurrent store writers: see
     /// [`Mmap`] — atomic-rename writes plus unix unlink semantics mean a
@@ -422,33 +384,29 @@ impl TraceStore {
             evict_corrupt("trace-store entry", &path, why);
             None
         };
-        let mut entry = match read_checksummed(&path, map) {
+        let entry = match read_entry(&path, map) {
             Ok(Some(entry)) => entry,
             Ok(None) => return None,
             Err(why) => return evict(&why),
         };
-        let m = TRACE_ENTRY_MAGIC.len();
-        let header_len = m + 8 + 1;
-        let head = entry.as_ref();
-        if head.len() < header_len {
-            return evict("truncated entry");
-        }
-        if &head[..m] != TRACE_ENTRY_MAGIC {
-            return evict("bad entry header");
-        }
-        let budget = u64::from_le_bytes(head[m..m + 8].try_into().unwrap());
-        let complete = head[m + 8] != 0;
-        let mapped = matches!(entry.storage, EntryStorage::Mapped(_));
-        entry.body.start += header_len;
+        let mapped = matches!(entry, EntryBytes::Mapped(_));
         match Trace::from_buffer(entry) {
-            Ok(trace) => Some(StoredTrace { trace: Arc::new(trace), budget, complete, mapped }),
+            Ok(trace) => Some(StoredTrace {
+                budget: trace.limit(),
+                complete: trace.is_complete(),
+                trace: Arc::new(trace),
+                mapped,
+            }),
             Err(e) => evict(&e.to_string()),
         }
     }
 
     /// Persist a capture for a workload identity (atomically; overwrites
-    /// any previous entry). Write failures are logged to stderr and
-    /// swallowed — the store is a cache, not the source of truth.
+    /// any previous entry): the entry is [`Trace::to_bytes`], written
+    /// once. `budget` and `complete` must be the trace's own
+    /// [`Trace::limit`] and [`Trace::is_complete`], which the entry
+    /// records. Write failures are logged to stderr and swallowed — the
+    /// store is a cache, not the source of truth.
     pub fn save(
         &self,
         name: &str,
@@ -458,12 +416,12 @@ impl TraceStore {
         complete: bool,
         trace: &Trace,
     ) {
-        let mut body = Vec::new();
-        body.extend_from_slice(TRACE_ENTRY_MAGIC);
-        body.extend_from_slice(&budget.to_le_bytes());
-        body.push(complete as u8);
-        body.extend_from_slice(&trace.to_bytes());
-        if let Err(e) = write_checksummed(&self.dir, &self.path(name, scale, seed), &body) {
+        debug_assert_eq!(
+            (budget, complete),
+            (trace.limit(), trace.is_complete()),
+            "capture metadata must be the trace's own"
+        );
+        if let Err(e) = write_atomic(&self.dir, &self.path(name, scale, seed), &trace.to_bytes()) {
             eprintln!("warning: trace store: {e}");
         }
     }
@@ -523,7 +481,7 @@ impl ResultCache {
     /// absent, so the cell is simply simulated again.
     pub fn load(&self, key_hex: &str) -> Option<RunResult> {
         let path = self.path(key_hex);
-        let body = match read_checksummed(&path, false) {
+        let body = match read_entry(&path, false) {
             Ok(Some(body)) => body,
             Ok(None) => return None,
             Err(why) => {
@@ -534,7 +492,7 @@ impl ResultCache {
         match RunResult::from_bytes(body.as_ref()) {
             Ok(result) => Some(result),
             Err(e) => {
-                evict_corrupt("result-cache entry", &path, &e);
+                evict_corrupt("result-cache entry", &path, &e.to_string());
                 None
             }
         }
@@ -543,7 +501,7 @@ impl ResultCache {
     /// Persist a finished cell result (atomically). Write failures are
     /// logged to stderr and swallowed.
     pub fn save(&self, key_hex: &str, result: &RunResult) {
-        if let Err(e) = write_checksummed(&self.dir, &self.path(key_hex), &result.to_bytes()) {
+        if let Err(e) = write_atomic(&self.dir, &self.path(key_hex), &result.to_bytes()) {
             eprintln!("warning: result cache: {e}");
         }
     }
@@ -696,7 +654,7 @@ mod tests {
         assert_eq!(*stored.trace, trace);
         assert_eq!(stored.budget, 50);
         assert!(!stored.complete);
-        assert!(stored.covers(40) && stored.covers(50) && !stored.covers(51));
+        assert!(stored.trace.covers(40) && stored.trace.covers(50) && !stored.trace.covers(51));
         // Distinct identities address distinct entries.
         assert!(store.load("w", 2, 7).is_none());
         assert!(store.load("w", 1, 8).is_none());
@@ -721,7 +679,7 @@ mod tests {
         let mapped = store.map("w", 1, 7).expect("saved entry maps");
         assert_eq!(mapped.budget(), 100);
         assert!(!mapped.complete);
-        assert!(mapped.covers(100) && !mapped.covers(101));
+        assert!(mapped.trace.covers(100) && !mapped.trace.covers(101));
         assert_eq!(mapped.trace.len(), trace.len());
         #[cfg(all(unix, target_pointer_width = "64"))]
         assert!(mapped.is_mapped(), "64-bit unix entries are mmap-backed");

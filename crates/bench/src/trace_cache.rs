@@ -28,26 +28,11 @@ struct TraceKey {
     seed: u64,
 }
 
-struct Entry {
-    /// Capture limit this trace was taken with.
-    budget: u64,
-    /// The program ended before the budget: the trace is the complete
-    /// execution and satisfies *any* request.
-    complete: bool,
-    trace: Arc<Trace>,
-}
-
-impl Entry {
-    fn covers(&self, budget: u64) -> bool {
-        self.complete || self.budget >= budget
-    }
-}
-
 /// A keyed store of captured traces. Most callers want the process-wide
 /// [`TraceCache::global`]; separate instances exist for tests.
 #[derive(Default)]
 pub struct TraceCache {
-    entries: Mutex<HashMap<TraceKey, Entry>>,
+    entries: Mutex<HashMap<TraceKey, Arc<Trace>>>,
 }
 
 impl TraceCache {
@@ -104,14 +89,14 @@ impl TraceCache {
         store: Option<&TraceStore>,
     ) -> (Arc<Trace>, bool) {
         let key = TraceKey { name: bench.name, scale: settings.scale, seed: settings.seed };
-        if let Some(entry) = self.entries.lock().unwrap().get(&key) {
-            if entry.covers(budget) {
-                return (Arc::clone(&entry.trace), false);
+        if let Some(trace) = self.entries.lock().unwrap().get(&key) {
+            if trace.covers(budget) {
+                return (Arc::clone(trace), false);
             }
         }
         if let Some(store) = store {
             match store.map(bench.name, settings.scale, settings.seed) {
-                Some(stored) if stored.covers(budget) => {
+                Some(stored) if stored.trace.covers(budget) => {
                     store.record_hit();
                     return (stored.trace, false);
                 }
@@ -120,17 +105,17 @@ impl TraceCache {
         }
         // Capture runs outside the lock (see `get`).
         let trace = Arc::new(settings.capture(bench, budget));
-        let complete = (trace.len() as u64) < budget;
         if let Some(store) = store {
-            store.save(bench.name, settings.scale, settings.seed, budget, complete, &trace);
+            let (limit, complete) = (trace.limit(), trace.is_complete());
+            store.save(bench.name, settings.scale, settings.seed, limit, complete, &trace);
         }
         let mut entries = self.entries.lock().unwrap();
         match entries.get(&key) {
             // A racing worker (or a longer earlier capture) already
             // satisfies the request; keep the established entry.
-            Some(entry) if entry.covers(budget) => (Arc::clone(&entry.trace), false),
+            Some(established) if established.covers(budget) => (Arc::clone(established), false),
             _ => {
-                entries.insert(key, Entry { budget, complete, trace: Arc::clone(&trace) });
+                entries.insert(key, Arc::clone(&trace));
                 (trace, true)
             }
         }
@@ -148,7 +133,7 @@ impl TraceCache {
 
     /// Total approximate heap footprint of the cached traces, in bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.entries.lock().unwrap().values().map(|e| e.trace.approx_bytes()).sum()
+        self.entries.lock().unwrap().values().map(|t| t.approx_bytes()).sum()
     }
 
     /// Drop every cached trace (frees the memory once the last `Arc`

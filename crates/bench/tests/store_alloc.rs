@@ -95,8 +95,8 @@ fn store_reads_decode_with_a_constant_allocation_count() {
 
     let small = captured_trace(2_000);
     let large = captured_trace(64_000);
-    store.save("small", 1, 1, 2_000, true, &small);
-    store.save("large", 1, 1, 64_000, true, &large);
+    store.save("small", 1, 1, 2_000, false, &small);
+    store.save("large", 1, 1, 64_000, false, &large);
 
     // Opening serialized bytes copies them into one buffer, decodes the
     // static µop table, and boxes the storage — no per-section or

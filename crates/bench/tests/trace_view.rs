@@ -48,7 +48,7 @@ fn mapped_view_replay_matches_owned_replay_across_the_grid() {
     store.save(bench.name, s.scale, s.seed, budget, false, &trace);
 
     let mapped = store.map(bench.name, s.scale, s.seed).expect("entry maps back");
-    assert!(mapped.covers(budget), "mapped entry covers the capture budget");
+    assert!(mapped.trace.covers(budget), "mapped entry covers the capture budget");
     assert!(mapped.is_mapped(), "store hit is served by mmap, not a heap copy");
     assert_eq!(mapped.trace.len(), trace.len(), "the mapping holds every record");
 
@@ -138,8 +138,8 @@ fn truncated_and_corrupt_entries_are_rejected_and_evicted() {
     let budget = s.trace_budget(&s.core());
     let trace = s.capture(&bench, budget);
 
-    // Truncation: cut the file mid-body. The outer checksum no longer
-    // matches, so the entry is rejected and evicted.
+    // Truncation: cut the file mid-body. The frame's sections no longer
+    // fit, so the entry is rejected and evicted.
     store.save(bench.name, s.scale, s.seed, budget, false, &trace);
     let path = entry_file(&dir);
     let bytes = std::fs::read(&path).unwrap();

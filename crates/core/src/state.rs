@@ -1,5 +1,5 @@
 //! A tiny byte-stream writer/reader pair for microarchitectural state
-//! checkpoints (the sampling layer's `vpstate1` format).
+//! checkpoints (the sampling layer's `vpstate2` format).
 //!
 //! Structures that participate in checkpointing expose
 //! `save_state(&self, &mut StateWriter)` / `load_state(&mut self, &mut

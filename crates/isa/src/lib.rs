@@ -19,6 +19,8 @@
 //! * [`Trace`] / [`TraceCursor`] / [`InstSource`] — the capture-once /
 //!   replay-many layer: a compact struct-of-arrays record of the dynamic
 //!   stream, captured once and replayed into any number of timing runs.
+//! * [`frame`] — the one checksummed binary container that traces and
+//!   the timing model's sampling checkpoints serialize into.
 //!
 //! # Examples
 //!
@@ -47,6 +49,7 @@
 
 mod builder;
 mod exec;
+pub mod frame;
 mod inst;
 mod memory;
 mod program;
@@ -55,8 +58,9 @@ mod trace;
 
 pub use builder::{Label, ProgramBuilder};
 pub use exec::{DynInst, Executor};
+pub use frame::TraceDecodeError;
 pub use inst::{FuClass, Inst, Opcode};
 pub use memory::SparseMemory;
 pub use program::{Program, ProgramError};
 pub use reg::{Reg, RegClass, NUM_ARCH_REGS};
-pub use trace::{fnv1a, InstSource, Trace, TraceCursor, TraceDecodeError};
+pub use trace::{InstSource, Trace, TraceCursor};

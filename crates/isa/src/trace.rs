@@ -58,6 +58,7 @@
 //! ```
 
 use crate::exec::{DynInst, Executor};
+use crate::frame::{self, TraceDecodeError};
 use crate::inst::{Inst, Opcode};
 use crate::program::{Program, INST_BYTES};
 use crate::reg::{Reg, NUM_ARCH_REGS};
@@ -119,6 +120,8 @@ const PAYLOAD_BITS: u8 = HAS_RESULT | HAS_MEM_ADDR | HAS_STORE_VALUE | DIVERGES;
 pub struct Trace {
     /// Static µop table; record indices point into it.
     insts: Vec<Inst>,
+    /// The capture limit ([`Trace::limit`]).
+    limit: u64,
     sections: Sections,
 }
 
@@ -162,8 +165,8 @@ impl Trace {
     /// (`vpsim-uarch` exposes it as `CoreConfig::trace_budget`).
     pub fn capture(program: &Program, limit: u64) -> Trace {
         let (mut index, mut flags, mut payload) = (Vec::new(), Vec::new(), Vec::new());
-        let limit = usize::try_from(limit).unwrap_or(usize::MAX);
-        for di in Executor::new(program).take(limit) {
+        let take = usize::try_from(limit).unwrap_or(usize::MAX);
+        for di in Executor::new(program).take(take) {
             debug_assert_eq!(di.seq, flags.len() as u64, "records must be dense from 0");
             let mut f = 0u8;
             let mut push = |bit: u8, value: u64| {
@@ -190,8 +193,26 @@ impl Trace {
         }
         Trace {
             insts: program.insts().to_vec(),
+            limit,
             sections: Sections::Captured { index, flags, payload },
         }
+    }
+
+    /// The limit this trace was captured with (serialized with it).
+    pub fn limit(&self) -> u64 {
+        self.limit
+    }
+
+    /// `true` when the program ended before the capture limit: the trace
+    /// is the whole execution.
+    pub fn is_complete(&self) -> bool {
+        (self.len() as u64) < self.limit
+    }
+
+    /// `true` if this trace serves a replay needing `budget` µops: it is
+    /// complete, or was captured with at least that limit.
+    pub fn covers(&self, budget: u64) -> bool {
+        self.is_complete() || self.limit >= budget
     }
 
     /// The record index, flag and payload sections, however they are held.
@@ -220,6 +241,14 @@ impl Trace {
     pub fn approx_bytes(&self) -> usize {
         let (index, flags, payload) = self.parts();
         self.insts.len() * std::mem::size_of::<Inst>() + index.len() + flags.len() + payload.len()
+    }
+
+    /// The trace's shape: record count, payload-slot count and static-µop
+    /// count. A sampling checkpoint records it so that it is never
+    /// resumed on another trace.
+    pub fn identity(&self) -> [u64; 3] {
+        let (_, flags, payload) = self.parts();
+        [flags.len() as u64, payload.len() as u64 / 8, self.insts.len() as u64]
     }
 
     /// A replay iterator over the captured stream, starting at `seq` 0.
@@ -256,10 +285,11 @@ impl Trace {
         Ok(cursor)
     }
 
-    /// Serialize into the checksummed binary format: a magic/version
-    /// header, the four SoA sections each prefixed with a little-endian
-    /// `u64` element count, and a trailing [`fnv1a`] checksum over
-    /// everything before it.
+    /// Serialize into a `vpstrc2` [`frame`] of five sections: the capture
+    /// limit (`u64`), the static µop table (12 bytes per µop: opcode,
+    /// three register codes, `i64` immediate), then the record index
+    /// (`u32` per record), flag (one byte per record) and payload (`u64`
+    /// per slot) sections in their wire form.
     ///
     /// [`Trace::from_bytes`] round-trips the result exactly:
     ///
@@ -274,25 +304,17 @@ impl Trace {
     /// ```
     pub fn to_bytes(&self) -> Vec<u8> {
         let (index, flags, payload) = self.parts();
-        let mut out = Vec::with_capacity(MAGIC.len() + self.approx_bytes() + 5 * 8);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.insts.len() as u64).to_le_bytes());
+        let mut insts = Vec::with_capacity(self.insts.len() * INST_RECORD);
         for inst in &self.insts {
-            out.push(inst.op.code());
-            out.push(encode_reg(inst.dst));
-            out.push(encode_reg(inst.src1));
-            out.push(encode_reg(inst.src2));
-            out.extend_from_slice(&inst.imm.to_le_bytes());
+            insts.extend_from_slice(&[
+                inst.op.code(),
+                encode_reg(inst.dst),
+                encode_reg(inst.src1),
+                encode_reg(inst.src2),
+            ]);
+            insts.extend_from_slice(&inst.imm.to_le_bytes());
         }
-        out.extend_from_slice(&(flags.len() as u64).to_le_bytes());
-        out.extend_from_slice(index);
-        out.extend_from_slice(&(flags.len() as u64).to_le_bytes());
-        out.extend_from_slice(flags);
-        out.extend_from_slice(&(payload.len() as u64 / 8).to_le_bytes());
-        out.extend_from_slice(payload);
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        frame::encode(MAGIC, &[&self.limit.to_le_bytes(), &insts, index, flags, payload])
     }
 
     /// Deserialize a trace produced by [`Trace::to_bytes`] into a heap
@@ -306,39 +328,38 @@ impl Trace {
     /// replayed straight out of it, never copied. `bytes` is any byte
     /// container — a `Vec<u8>`, or a memory mapping of a store entry.
     ///
-    /// All validation happens here, once. Every failure mode is an error,
-    /// never a panic: bad magic, any truncation or trailing garbage,
-    /// checksum mismatch (a single flipped bit anywhere is caught), unknown
-    /// opcode/register codes, and cross-section inconsistencies (record
-    /// counts that disagree, a record pointing past the µop table, a
-    /// payload stream whose length does not match the flag bits). Only
-    /// the small static µop table is decoded.
+    /// All validation happens here, once, and every failure is an error,
+    /// never a panic: whatever [`frame::decode`] rejects (including any
+    /// single flipped bit), unknown opcode/register codes, and
+    /// cross-section inconsistencies (section sizes that are not whole
+    /// records, record counts that disagree, a record pointing past the
+    /// µop table, a payload stream whose length does not match the flag
+    /// bits). Only the small static µop table is decoded.
     pub fn from_buffer(
         bytes: impl AsRef<[u8]> + Send + Sync + 'static,
     ) -> Result<Trace, TraceDecodeError> {
-        let (insts, [index, flags, payload]) = parse(bytes.as_ref())?;
-        let sections = Sections::Serialized { bytes: Box::new(bytes), index, flags, payload };
-        Ok(Trace { insts, sections })
+        parse(Box::new(bytes))
     }
 }
 
-/// Validate a serialized trace and locate its dynamic sections: the
-/// decoded static table plus the byte ranges of the index, flag and
+/// Validate a serialized trace and open it over `bytes`: decode the
+/// static table and capture limit, and locate the index, flag and
 /// payload sections.
-fn parse(buf: &[u8]) -> Result<(Vec<Inst>, [Range<usize>; 3]), TraceDecodeError> {
+fn parse(bytes: Box<dyn AsRef<[u8]> + Send + Sync>) -> Result<Trace, TraceDecodeError> {
     use TraceDecodeError::*;
-    let mut r = Reader { bytes: buf, pos: 0 };
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(BadMagic);
+    let buf = (*bytes).as_ref();
+    let [limit, insts, index, flags, payload] = frame::decode(MAGIC, buf)?;
+    let limit = buf[limit].try_into().map_err(|_| Inconsistent("capture limit is not one u64"))?;
+    let (inst_bytes, index_bytes, flag_bytes) =
+        (&buf[insts], &buf[index.clone()], &buf[flags.clone()]);
+    if inst_bytes.len() % INST_RECORD != 0 || index_bytes.len() % 4 != 0 || payload.len() % 8 != 0 {
+        return Err(Inconsistent("section size is not a whole number of records"));
     }
     // The static table is decoded in place with `chunks_exact` — exactly
-    // one allocation; the dynamic sections are only bounds-checked and
-    // recorded as ranges.
-    let n_insts = r.len_prefix(12)?;
-    let inst_bytes = r.take(n_insts * 12)?;
-    let mut insts = Vec::with_capacity(n_insts);
-    for rec in inst_bytes.chunks_exact(12) {
-        insts.push(Inst {
+    // one allocation; the dynamic sections are only checked.
+    let mut table = Vec::with_capacity(inst_bytes.len() / INST_RECORD);
+    for rec in inst_bytes.chunks_exact(INST_RECORD) {
+        table.push(Inst {
             op: Opcode::from_code(rec[0]).ok_or(BadOpcode(rec[0]))?,
             dst: decode_reg(rec[1])?,
             src1: decode_reg(rec[2])?,
@@ -346,49 +367,30 @@ fn parse(buf: &[u8]) -> Result<(Vec<Inst>, [Range<usize>; 3]), TraceDecodeError>
             imm: i64::from_le_bytes(rec[4..12].try_into().unwrap()),
         });
     }
-    let n_index = r.len_prefix(4)?;
-    let index_start = r.pos;
-    let index_bytes = r.take(n_index * 4)?;
-    let index = index_start..r.pos;
-    let n_flags = r.len_prefix(1)?;
-    let flags_start = r.pos;
-    let flag_bytes = r.take(n_flags)?;
-    let flags = flags_start..r.pos;
-    let n_payload = r.len_prefix(8)?;
-    let payload_start = r.pos;
-    r.take(n_payload * 8)?;
-    let payload = payload_start..r.pos;
-    let body_end = r.pos;
-    let found = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
-    if r.pos != buf.len() {
-        return Err(TrailingBytes(buf.len() - r.pos));
-    }
-    let expected = fnv1a(&buf[..body_end]);
-    if found != expected {
-        return Err(ChecksumMismatch { expected, found });
-    }
-    // Cross-section consistency: a structurally broken (but checksum-valid)
-    // buffer is rejected here rather than replayed.
-    if n_index != n_flags {
+    if index_bytes.len() / 4 != flag_bytes.len() {
         return Err(Inconsistent("record index and flag sections differ in length"));
     }
     if index_bytes
         .chunks_exact(4)
-        .any(|c| u32::from_le_bytes(c.try_into().unwrap()) as usize >= insts.len())
+        .any(|c| u32::from_le_bytes(c.try_into().unwrap()) as usize >= table.len())
     {
         return Err(Inconsistent("record points past the static µop table"));
     }
     let want_payload: usize =
         flag_bytes.iter().map(|f| (f & PAYLOAD_BITS).count_ones()).sum::<u32>() as usize;
-    if n_payload != want_payload {
+    if payload.len() / 8 != want_payload {
         return Err(Inconsistent("payload stream length does not match flag bits"));
     }
-    Ok((insts, [index, flags, payload]))
+    Ok(Trace {
+        insts: table,
+        limit: u64::from_le_bytes(limit),
+        sections: Sections::Serialized { bytes, index, flags, payload },
+    })
 }
 
 impl PartialEq for Trace {
     fn eq(&self, other: &Trace) -> bool {
-        self.insts == other.insts && self.parts() == other.parts()
+        self.insts == other.insts && self.limit == other.limit && self.parts() == other.parts()
     }
 }
 
@@ -399,6 +401,7 @@ impl fmt::Debug for Trace {
         let (_, flags, payload) = self.parts();
         f.debug_struct("Trace")
             .field("insts", &self.insts.len())
+            .field("limit", &self.limit)
             .field("records", &flags.len())
             .field("payload_slots", &(payload.len() / 8))
             .field("serialized", &matches!(self.sections, Sections::Serialized { .. }))
@@ -406,9 +409,12 @@ impl fmt::Debug for Trace {
     }
 }
 
-/// Magic + format version prefix of the [`Trace`] binary form. Bump the
-/// trailing digit on any incompatible layout change.
-const MAGIC: &[u8; 8] = b"vpstrc1\n";
+/// Magic + format version of the [`Trace`] frame. Bump the digit on any
+/// incompatible layout change.
+const MAGIC: &[u8; 8] = b"vpstrc2\n";
+
+/// Serialized bytes per static µop.
+const INST_RECORD: usize = 12;
 
 /// Register slot encoding: `0xFF` is `None`, anything else a flat index.
 const NO_REG: u8 = 0xFF;
@@ -424,96 +430,6 @@ fn decode_reg(code: u8) -> Result<Option<Reg>, TraceDecodeError> {
         n => Err(TraceDecodeError::BadReg(n)),
     }
 }
-
-/// FNV-1a 64 over a byte slice — the integrity checksum that ends every
-/// serialized format in the workspace (traces, run results, sampling
-/// checkpoints, store entries). Not cryptographic; it guards against
-/// storage corruption (bit flips, truncation), not adversaries.
-///
-/// ```
-/// assert_eq!(vpsim_isa::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-/// assert_ne!(vpsim_isa::fnv1a(b"a"), vpsim_isa::fnv1a(b"b"));
-/// ```
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Bounds-checked little-endian reader over the serialized buffer.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceDecodeError> {
-        let end = self.pos.checked_add(n).ok_or(TraceDecodeError::Truncated)?;
-        let slice = self.bytes.get(self.pos..end).ok_or(TraceDecodeError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// A section's element count, validated against the bytes actually
-    /// remaining (`elem_size` bytes per element) — so a corrupt count can
-    /// never drive a huge allocation before the bounds check.
-    fn len_prefix(&mut self, elem_size: usize) -> Result<usize, TraceDecodeError> {
-        let n = u64::from_le_bytes(self.take(8)?.try_into().unwrap());
-        let n = usize::try_from(n).map_err(|_| TraceDecodeError::Truncated)?;
-        let need = n.checked_mul(elem_size).ok_or(TraceDecodeError::Truncated)?;
-        if need > self.bytes.len() - self.pos {
-            return Err(TraceDecodeError::Truncated);
-        }
-        Ok(n)
-    }
-}
-
-/// Why [`Trace::from_buffer`] rejected a buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceDecodeError {
-    /// The buffer does not start with the trace magic/version prefix.
-    BadMagic,
-    /// The buffer ended before a declared section did.
-    Truncated,
-    /// Bytes remain after the checksum (count attached).
-    TrailingBytes(usize),
-    /// The FNV-1a 64 integrity checksum did not match the body.
-    ChecksumMismatch {
-        /// Checksum recomputed from the body.
-        expected: u64,
-        /// Checksum stored in the buffer.
-        found: u64,
-    },
-    /// An opcode byte outside [`Opcode::ALL`].
-    BadOpcode(u8),
-    /// A register byte that is neither `0xFF` (none) nor a valid index.
-    BadReg(u8),
-    /// Sections are individually well-formed but mutually inconsistent.
-    Inconsistent(&'static str),
-}
-
-impl fmt::Display for TraceDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceDecodeError::BadMagic => write!(f, "bad magic (not a serialized trace)"),
-            TraceDecodeError::Truncated => write!(f, "truncated buffer"),
-            TraceDecodeError::TrailingBytes(n) => {
-                write!(f, "{n} trailing byte(s) after checksum")
-            }
-            TraceDecodeError::ChecksumMismatch { expected, found } => {
-                write!(f, "checksum mismatch: computed {expected:#018x}, stored {found:#018x}")
-            }
-            TraceDecodeError::BadOpcode(code) => write!(f, "unknown opcode code {code}"),
-            TraceDecodeError::BadReg(code) => write!(f, "unknown register code {code}"),
-            TraceDecodeError::Inconsistent(why) => write!(f, "inconsistent sections: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceDecodeError {}
 
 /// Replay iterator over a [`Trace`]: yields the captured [`DynInst`]
 /// stream exactly, in order, at a few loads per µop, reading the record
@@ -704,19 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn every_single_bit_flip_is_detected() {
-        let p = mixed_program();
-        let bytes = Trace::capture(&p, 30).to_bytes();
-        // Flip one bit per byte across the whole buffer: whatever the
-        // position (magic, section, checksum itself), decode must fail.
-        for pos in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 1 << (pos % 8);
-            assert!(Trace::from_bytes(&corrupt).is_err(), "flip at byte {pos} went undetected");
-        }
-    }
-
-    #[test]
     fn truncation_and_garbage_are_errors() {
         let p = mixed_program();
         let bytes = Trace::capture(&p, 30).to_bytes();
@@ -727,19 +630,28 @@ mod tests {
         extended.push(0);
         assert_eq!(Trace::from_bytes(&extended), Err(TraceDecodeError::TrailingBytes(1)));
         assert_eq!(Trace::from_bytes(b"not a trace at all"), Err(TraceDecodeError::BadMagic));
+        // A frame whose sections are well formed but whose content is not
+        // a trace is refused by the trace's own checks.
+        let limit = 5u64.to_le_bytes();
+        let bad_op = frame::encode(MAGIC, &[&limit, &[0xEE; INST_RECORD], b"", b"", b""]);
+        assert_eq!(Trace::from_bytes(&bad_op), Err(TraceDecodeError::BadOpcode(0xEE)));
+        let orphan = frame::encode(MAGIC, &[&limit, b"", &[0; 4], &[0], b""]);
+        assert!(matches!(Trace::from_bytes(&orphan), Err(TraceDecodeError::Inconsistent(_))));
     }
 
     #[test]
-    fn checksum_error_reports_both_values() {
+    fn the_capture_limit_travels_with_the_trace() {
         let p = mixed_program();
-        let mut bytes = Trace::capture(&p, 10).to_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        match Trace::from_bytes(&bytes) {
-            Err(TraceDecodeError::ChecksumMismatch { expected, found }) => {
-                assert_ne!(expected, found);
-            }
-            other => panic!("expected checksum mismatch, got {other:?}"),
+        let cut = Trace::capture(&p, 30);
+        assert_eq!(cut.limit(), 30);
+        assert!(!cut.is_complete());
+        assert!(cut.covers(30) && !cut.covers(31));
+        let whole = Trace::capture(&p, 100_000);
+        assert!(whole.is_complete(), "the program halts before the limit");
+        assert!(whole.covers(u64::MAX));
+        for trace in [cut, whole] {
+            let back = Trace::from_bytes(&trace.to_bytes()).unwrap();
+            assert_eq!((back.limit(), back.is_complete()), (trace.limit(), trace.is_complete()));
         }
     }
 

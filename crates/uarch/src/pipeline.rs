@@ -468,7 +468,7 @@ impl Simulator {
                 break; // Trace exhausted before this interval: skip the rest.
             }
             let (pos, payload_pos) = (cursor.pos() as u64, cursor.payload_pos() as u64);
-            at_checkpoint(Checkpoint::capture(&warmer, pos, payload_pos, dwarm));
+            at_checkpoint(Checkpoint::capture(&warmer, trace.identity(), pos, payload_pos, dwarm));
         }
         warmer.ff_uops
     }
@@ -479,18 +479,19 @@ impl Simulator {
     /// checkpoint's detailed warmup with statistics discarded, then
     /// measure.
     ///
-    /// Fails (never panics) when the checkpoint's geometry does not match
-    /// this simulator's configuration, or its trace coordinates are out of
-    /// range for `trace` (see [`Trace::cursor_resume`]). Trace *identity*
-    /// is not checked: a checkpoint taken on another trace whose
-    /// coordinates happen to be in range replays a meaningless interval
-    /// (one that may end early) and returns `Ok`.
+    /// Fails (never panics) when the checkpoint was taken on a trace other
+    /// than `trace` (its recorded [`Trace::identity`] differs), when its
+    /// geometry does not match this simulator's configuration, or when its
+    /// trace coordinates are out of range (see [`Trace::cursor_resume`]).
     pub fn run_interval_from(
         &self,
         trace: &Trace,
         checkpoint: &Checkpoint,
         measure: u64,
     ) -> Result<RunResult, String> {
+        if checkpoint.trace_identity() != trace.identity() {
+            return Err("checkpoint was taken on a different trace".to_string());
+        }
         let cursor = trace
             .cursor_resume(checkpoint.pos() as usize, checkpoint.payload_pos() as usize)
             .map_err(|e| e.to_string())?;

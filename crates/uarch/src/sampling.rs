@@ -16,21 +16,26 @@
 //! µops at the head of every interval, whose statistics are discarded.
 //!
 //! The end-of-fast-forward state is captured in a serializable
-//! [`Checkpoint`] (`vpstate1` binary format, FNV-1a-64 trailer like
-//! `vpsres1`): together with the O(1) `TraceCursor::cursor_resume` seek,
-//! any interval can be replayed without re-streaming the trace prefix.
+//! [`Checkpoint`] (a `vpstate2` frame, see `vpsim_isa::frame`): together
+//! with the O(1) `Trace::cursor_resume` seek, any interval can be
+//! replayed without re-streaming the trace prefix. A checkpoint records
+//! the identity of the trace it was taken on and refuses any other.
 
 use crate::config::CoreConfig;
 use crate::result::RunResult;
 use vpsim_branch::{Btb, Ras, Tage};
 use vpsim_core::state::{StateReader, StateWriter};
 use vpsim_core::HistoryState;
-use vpsim_isa::{fnv1a, DynInst, Opcode};
+use vpsim_isa::{frame, DynInst, Opcode, TraceDecodeError};
 use vpsim_mem::MemoryHierarchy;
 
-/// Magic + format version prefix of the [`Checkpoint`] binary form. Bump
-/// the trailing digit on any incompatible change to the state layout.
-const MAGIC: &[u8; 8] = b"vpstate1";
+/// Magic + format version of the [`Checkpoint`] frame. Bump the digit on
+/// any incompatible change to the state layout.
+const MAGIC: &[u8; 8] = b"vpstate2";
+
+/// `u64` fields of a checkpoint's first section: the four coordinates
+/// and the three words of the trace identity.
+const N_FIELDS: usize = 7;
 
 /// Sampled-replay knobs (scenario keys `sample.intervals`,
 /// `sample.period`, `sample.warmup`).
@@ -224,13 +229,17 @@ pub struct Checkpoint {
     payload_pos: u64,
     ff_uops: u64,
     detailed_warmup: u64,
+    /// `Trace::identity` of the trace the checkpoint was taken on.
+    trace: [u64; 3],
     state: Vec<u8>,
 }
 
 impl Checkpoint {
-    /// Snapshot `warmer` at trace coordinates (`pos`, `payload_pos`).
+    /// Snapshot `warmer` at coordinates (`pos`, `payload_pos`) of the
+    /// trace whose `Trace::identity` is `trace`.
     pub(crate) fn capture(
         warmer: &Warmer,
+        trace: [u64; 3],
         pos: u64,
         payload_pos: u64,
         detailed_warmup: u64,
@@ -240,8 +249,14 @@ impl Checkpoint {
             payload_pos,
             ff_uops: warmer.ff_uops,
             detailed_warmup,
+            trace,
             state: warmer.state_bytes(),
         }
+    }
+
+    /// `Trace::identity` of the trace this checkpoint was taken on.
+    pub(crate) fn trace_identity(&self) -> [u64; 3] {
+        self.trace
     }
 
     /// Trace record position the detailed replay resumes from.
@@ -285,57 +300,33 @@ impl Checkpoint {
         Ok(WarmState { tage, btb, ras, mem, hist })
     }
 
-    /// Serialize into the `vpstate1` container: magic, the four trace/plan
-    /// coordinates, the length-prefixed state blob, and a trailing FNV-1a
-    /// 64 checksum over everything before it.
+    /// Serialize into a `vpstate2` frame of two sections: the coordinates,
+    /// fast-forward count, detailed warmup and trace identity as seven
+    /// little-endian `u64`s, then the warm-state blob.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MAGIC.len() + 5 * 8 + self.state.len() + 8);
-        out.extend_from_slice(MAGIC);
-        for v in [self.pos, self.payload_pos, self.ff_uops, self.detailed_warmup] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.state.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.state);
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        let [records, slots, insts] = self.trace;
+        let fields =
+            [self.pos, self.payload_pos, self.ff_uops, self.detailed_warmup, records, slots, insts];
+        let head: Vec<u8> = fields.iter().flat_map(|v| v.to_le_bytes()).collect();
+        frame::encode(MAGIC, &[&head, &self.state])
     }
 
-    /// Deserialize a container produced by [`Checkpoint::to_bytes`].
-    /// Rejects bad magic, any size mismatch, and checksum failures — a
-    /// single flipped bit anywhere in the record is caught.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, String> {
-        let header = MAGIC.len() + 5 * 8;
-        if bytes.len() < header + 8 {
-            return Err(format!("checkpoint is {} bytes, too short", bytes.len()));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err("bad magic (not a serialized checkpoint)".to_string());
-        }
-        let word = |i: usize| {
-            u64::from_le_bytes(
-                bytes[MAGIC.len() + i * 8..MAGIC.len() + (i + 1) * 8].try_into().unwrap(),
-            )
-        };
-        let state_len = word(4) as usize;
-        let want = header + state_len + 8;
-        if bytes.len() != want {
-            return Err(format!("checkpoint is {} bytes, expected {want}", bytes.len()));
-        }
-        let body = &bytes[..want - 8];
-        let found = u64::from_le_bytes(bytes[want - 8..].try_into().unwrap());
-        let expected = fnv1a(body);
-        if found != expected {
-            return Err(format!(
-                "checksum mismatch: computed {expected:#018x}, stored {found:#018x}"
-            ));
-        }
+    /// Deserialize a frame produced by [`Checkpoint::to_bytes`]. Rejects
+    /// whatever `frame::decode` rejects (any single flipped bit among it)
+    /// and a first section that is not exactly the seven fields.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, TraceDecodeError> {
+        let [head, state] = frame::decode(MAGIC, bytes)?;
+        let head: &[u8; N_FIELDS * 8] = bytes[head]
+            .try_into()
+            .map_err(|_| TraceDecodeError::Inconsistent("checkpoint header is not 7 fields"))?;
+        let word = |i: usize| u64::from_le_bytes(head[i * 8..i * 8 + 8].try_into().unwrap());
         Ok(Checkpoint {
             pos: word(0),
             payload_pos: word(1),
             ff_uops: word(2),
             detailed_warmup: word(3),
-            state: bytes[header..want - 8].to_vec(),
+            trace: [word(4), word(5), word(6)],
+            state: bytes[state].to_vec(),
         })
     }
 }
@@ -436,7 +427,7 @@ mod tests {
     #[test]
     fn checkpoint_bytes_round_trip() {
         let warmer = Warmer::new(&CoreConfig::default());
-        let cp = Checkpoint::capture(&warmer, 123, 45, 2_000);
+        let cp = Checkpoint::capture(&warmer, [400, 90, 12], 123, 45, 2_000);
         let bytes = cp.to_bytes();
         assert_eq!(Checkpoint::from_bytes(&bytes), Ok(cp));
     }
@@ -444,7 +435,7 @@ mod tests {
     #[test]
     fn checkpoint_bytes_detect_bit_flips() {
         let warmer = Warmer::new(&CoreConfig::default());
-        let cp = Checkpoint::capture(&warmer, 9, 3, 100);
+        let cp = Checkpoint::capture(&warmer, [40, 9, 3], 9, 3, 100);
         let bytes = cp.to_bytes();
         // Probe a spread of positions (the blob is ~large; every 997th byte
         // plus the trailer keeps the test fast while covering all regions).
@@ -476,7 +467,7 @@ mod tests {
             };
             warmer.warm_uop(&di);
         }
-        let cp = Checkpoint::capture(&warmer, 1_000, 0, 500);
+        let cp = Checkpoint::capture(&warmer, [1_000, 0, 64], 1_000, 0, 500);
         let restored = cp.restore(&cfg).unwrap();
         assert_eq!(restored.hist, warmer.hist);
         assert_eq!(cp.ff_uops(), 1_000);

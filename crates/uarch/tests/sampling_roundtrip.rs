@@ -1,10 +1,11 @@
 //! Checkpoint serialization property: replaying a detailed interval from
 //! a checkpoint that went through `to_bytes` → `from_bytes` is
 //! byte-identical to replaying from the original in-memory checkpoint —
-//! for every predictor kind and recovery policy the simulator supports.
+//! for every predictor kind and recovery policy the simulator supports;
+//! and a checkpoint is never resumed on a trace it was not taken on.
 //!
 //! This is the guarantee the sweep-as-a-service layer leans on when it
-//! persists `vpstate1` checkpoints and replays intervals in a different
+//! persists `vpstate2` checkpoints and replays intervals in a different
 //! process: serialization must never perturb a result.
 
 use proptest::prelude::*;
@@ -108,5 +109,33 @@ proptest! {
             let sampled = sim.run_sampled(&trace, warmup, measure, sample);
             prop_assert_eq!(sampled.per_interval, direct);
         }
+    }
+}
+
+/// A checkpoint records the identity of the trace it was taken on, so
+/// resuming it on another workload's trace is refused — even where its
+/// coordinates are in range there and a replay would run to completion
+/// with a meaningless result.
+#[test]
+fn checkpoints_refuse_a_different_trace() {
+    let capture = |name: &str, budget: u64| {
+        let bench = vpsim_workloads::workload(name).expect("registry workload");
+        Trace::capture(&(bench.build)(&vpsim_workloads::WorkloadParams::default()), budget)
+    };
+    let sim = Simulator::new(CoreConfig::default());
+    let sample = SampleConfig { intervals: 2, period: 1_000, warmup: 200 };
+    let taken_on = capture("gzip", sim.config().trace_budget(2_000, 4_000));
+    let other = capture("mcf", 4 * taken_on.len() as u64);
+    let checkpoints = sim.sample_checkpoints(&taken_on, 2_000, 4_000, sample);
+    assert!(!checkpoints.is_empty());
+    for cp in &checkpoints {
+        let revived = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
+        assert!(sim.run_interval_from(&taken_on, &revived, 1_000).is_ok());
+        assert!(
+            other.cursor_resume(cp.pos() as usize, cp.payload_pos() as usize).is_ok(),
+            "the coordinates are in range on the other trace too"
+        );
+        let err = sim.run_interval_from(&other, &revived, 1_000).unwrap_err();
+        assert!(err.contains("different trace"), "{err}");
     }
 }
