@@ -63,14 +63,6 @@
 //!                      `ERR server busy` replies are retried with
 //!                      jittered exponential backoff, honouring the
 //!                      server's RETRY-AFTER hint.
-//!   --workers LIST     Comma-separated vpsim-serve addresses. The grid is
-//!                      sharded across them (worker i simulates cells with
-//!                      index % n == i) and the raw per-cell results are
-//!                      merged back in job-index order, so the table on
-//!                      stdout is byte-identical to a local or single
-//!                      --remote run. Point every worker at the same
-//!                      --store directory to share traces and finished
-//!                      cells.
 //! ```
 //!
 //! Example: compare VTAGE and the hybrid under both recovery schemes on
@@ -98,7 +90,6 @@ struct Options {
     timing_json: Option<String>,
     store: Option<String>,
     remote: Option<String>,
-    workers: Vec<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -116,7 +107,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut timing_json = None;
     let mut store = None;
     let mut remote = None;
-    let mut workers = Vec::new();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         let mut val = || -> Result<&String, String> {
@@ -134,12 +124,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--timing-json" => timing_json = Some(val()?.clone()),
             "--store" => store = Some(val()?.clone()),
             "--remote" => remote = Some(val()?.clone()),
-            "--workers" => {
-                workers = val()?.split(',').map(|a| a.trim().to_string()).collect();
-                if workers.iter().any(String::is_empty) {
-                    return Err("--workers takes a comma-separated list of host:port".into());
-                }
-            }
             // Dedicated flags are sugar for --set with the same key.
             flag @ ("--threads" | "--predictors" | "--confidence" | "--recovery"
             | "--benchmarks" | "--warmup" | "--measure" | "--scale" | "--seed") => {
@@ -157,10 +141,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if csv && json {
         return Err("--csv and --json are mutually exclusive".into());
     }
-    if remote.is_some() && !workers.is_empty() {
-        return Err("--remote and --workers are mutually exclusive; --workers shards".into());
-    }
-    if remote.is_some() || !workers.is_empty() {
+    if remote.is_some() {
         if stall_report {
             return Err("--stall-report runs locally; it cannot be combined with --remote".into());
         }
@@ -183,7 +164,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         timing_json,
         store,
         remote,
-        workers,
     })
 }
 
@@ -217,7 +197,7 @@ fn main() -> ExitCode {
         print!("{}", options.scenario);
         return ExitCode::SUCCESS;
     }
-    if options.remote.is_some() || !options.workers.is_empty() {
+    if let Some(addr) = &options.remote {
         let view = if options.matrix { View::Matrix } else { View::Long };
         let format = if options.csv {
             Format::Csv
@@ -226,18 +206,8 @@ fn main() -> ExitCode {
         } else {
             Format::Ascii
         };
-        let mut progress = |cell: &str| eprintln!("{cell}");
-        let outcome = match &options.remote {
-            Some(addr) => remote::submit(addr, &options.scenario, view, format, &mut progress),
-            None => remote::submit_workers(
-                &options.workers,
-                &options.scenario,
-                view,
-                format,
-                &mut progress,
-            ),
-        };
-        return match outcome {
+        let progress = |cell: &str| eprintln!("{cell}");
+        return match remote::submit(addr, &options.scenario, view, format, progress) {
             Ok(outcome) => {
                 print!("{}", outcome.table);
                 if !outcome.stats.is_empty() {

@@ -24,17 +24,27 @@
 //!
 //! # Examples
 //!
-//! Run a two-benchmark grid on two worker threads:
+//! Run a two-benchmark grid — the no-VP baseline plus one VTAGE point —
+//! on two worker threads:
 //!
 //! ```
-//! use vpsim_bench::sweep::run_grid;
+//! use vpsim_bench::sweep::{SchemeChoice, SweepSpec};
 //! use vpsim_bench::RunSettings;
+//! use vpsim_core::PredictorKind;
+//! use vpsim_uarch::RecoveryPolicy;
 //!
-//! let s = RunSettings { warmup: 1_000, measure: 5_000, threads: 2, ..RunSettings::default() };
-//! let benches = vpsim_workloads::all_benchmarks();
-//! let suites = run_grid(&s, &benches[..2], &[s.core()]);
-//! assert_eq!(suites.len(), 1);
-//! assert_eq!(suites[0].rows.len(), 2);
+//! let spec = SweepSpec {
+//!     settings: RunSettings { warmup: 1_000, measure: 5_000, threads: 2, ..RunSettings::default() },
+//!     predictors: vec![PredictorKind::Vtage],
+//!     schemes: vec![SchemeChoice::Fpc],
+//!     recoveries: vec![RecoveryPolicy::SquashAtCommit],
+//!     benches: vpsim_workloads::all_benchmarks()[..2].to_vec(),
+//!     ..SweepSpec::default()
+//! };
+//! let results = spec.run();
+//! assert_eq!(results.baseline.rows.len(), 2);
+//! assert_eq!(results.points.len(), 1);
+//! assert_eq!(results.points[0].1.rows.len(), 2);
 //! ```
 
 pub mod experiments;

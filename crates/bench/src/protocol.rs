@@ -8,14 +8,14 @@
 //! Client → server:
 //!
 //! ```text
-//! SUBMIT <view> <format> [shard <i>/<n>]
+//! SUBMIT <view> <format>
 //!     view: long|matrix   format: ascii|csv|json
 //! <scenario text, key = value lines>
 //! END
 //! ```
 //!
 //! plus `PING` (liveness) and `SHUTDOWN` (graceful stop). Server →
-//! client, for a full (unsharded) submission:
+//! client, for a submission:
 //!
 //! ```text
 //! OK <ncells>
@@ -26,16 +26,6 @@
 //! STATS result_cache_hits=… cells_simulated=… trace_store_hits=… trace_store_misses=… queue_wait_ms=… wall_ms=…
 //! DONE
 //! ```
-//!
-//! A *sharded* submission (`shard <i>/<n>`) restricts the server to the
-//! grid cells whose `index % n == i`. The reply carries the raw per-cell
-//! counters instead of a rendered table — `CELL` progress lines for the
-//! shard's cells, then one `RESULT <index> <hex(RunResult)>` frame per
-//! cell — and the client merges the shards by index
-//! ([`crate::sweep::SweepSpec::assemble`]) into the exact table a local
-//! run prints. N servers pointed at one shared `--store` directory cover
-//! the grid disjointly and dedupe finished cells through the shared
-//! result cache.
 //!
 //! Any failure — a malformed scenario above all — is a single `ERR <msg>`
 //! line and the connection stays open for the next request. A loaded
@@ -136,45 +126,23 @@ pub struct Submit {
     pub view: View,
     /// Rendering format.
     pub format: Format,
-    /// `Some((i, n))` restricts the server to cells with `index % n == i`
-    /// and switches the reply to raw `RESULT` frames.
-    pub shard: Option<(u32, u32)>,
 }
 
-/// The `SUBMIT <view> <format>` request line (unsharded).
+/// The `SUBMIT <view> <format>` request line.
 pub fn submit_line(view: View, format: Format) -> String {
     format!("SUBMIT {view} {format}")
 }
 
-/// The `SUBMIT <view> <format> shard <i>/<n>` request line.
-pub fn submit_line_sharded(view: View, format: Format, shard: (u32, u32)) -> String {
-    format!("SUBMIT {view} {format} shard {}/{}", shard.0, shard.1)
-}
-
-fn parse_shard(spec: &str) -> Option<(u32, u32)> {
-    let (i, n) = spec.split_once('/')?;
-    let (i, n) = (i.parse::<u32>().ok()?, n.parse::<u32>().ok()?);
-    (n >= 1 && i < n).then_some((i, n))
-}
-
-/// Parse a `SUBMIT <view> <format> [shard <i>/<n>]` line (`None` if it
-/// is not a SUBMIT at all, `Some(Err)` if it is one with bad arguments).
+/// Parse a `SUBMIT <view> <format>` line (`None` if it is not a SUBMIT
+/// at all, `Some(Err)` if it is one with bad arguments).
 pub fn parse_submit(line: &str) -> Option<Result<Submit, String>> {
-    const USAGE: &str =
-        "SUBMIT takes: SUBMIT <long|matrix> <ascii|csv|json> [shard <i>/<n>, i < n]";
     let rest = line.strip_prefix("SUBMIT")?;
     let words: Vec<&str> = rest.split_whitespace().collect();
     let parsed = match words.as_slice() {
-        [view, format] => view.parse::<View>().and_then(|v| {
-            format.parse::<Format>().map(|f| Submit { view: v, format: f, shard: None })
-        }),
-        [view, format, "shard", spec] => match parse_shard(spec) {
-            Some(shard) => view.parse::<View>().and_then(|v| {
-                format.parse::<Format>().map(|f| Submit { view: v, format: f, shard: Some(shard) })
-            }),
-            None => Err(USAGE.into()),
-        },
-        _ => Err(USAGE.into()),
+        [view, format] => view
+            .parse::<View>()
+            .and_then(|view| format.parse::<Format>().map(|format| Submit { view, format })),
+        _ => Err("SUBMIT takes: SUBMIT <long|matrix> <ascii|csv|json>".into()),
     };
     Some(parsed)
 }
@@ -197,35 +165,6 @@ pub fn cell_line(job: &SweepJob, result: &RunResult) -> String {
 /// The `TABLE <nbytes>` header announcing the rendered table payload.
 pub fn table_header(nbytes: usize) -> String {
     format!("TABLE {nbytes}")
-}
-
-/// One raw per-cell counter frame of a sharded reply:
-/// `RESULT <index> <hex(RunResult)>`. The full counters travel so the
-/// client can rebuild the exact table — IPC alone would lose coverage
-/// and accuracy columns.
-pub fn result_line(index: usize, result: &RunResult) -> String {
-    format!("RESULT {index} {}", crate::store::hex(&result.to_bytes()))
-}
-
-/// Parse a `RESULT <index> <hex>` frame back into its cell index and
-/// counters (`None` if the line is not a RESULT frame at all).
-pub fn parse_result(line: &str) -> Option<Result<(usize, RunResult), String>> {
-    let rest = line.strip_prefix("RESULT ")?;
-    let parsed = (|| {
-        let (index, hex) = rest.split_once(' ').ok_or("RESULT takes an index and a payload")?;
-        let index: usize = index.parse().map_err(|_| format!("bad RESULT index {index}"))?;
-        if hex.len() % 2 != 0 {
-            return Err("odd-length RESULT payload".to_string());
-        }
-        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err("non-hex RESULT payload".to_string());
-        }
-        let bytes: Vec<u8> = (0..hex.len() / 2)
-            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("checked hex digits"))
-            .collect();
-        Ok((index, RunResult::from_bytes(&bytes).map_err(|e| e.to_string())?))
-    })();
-    Some(parsed)
 }
 
 /// The `STATS …` diagnostics line of a finished submission.
@@ -317,47 +256,13 @@ mod tests {
         assert_eq!(line, "SUBMIT matrix csv");
         assert_eq!(
             parse_submit(&line).unwrap().unwrap(),
-            Submit { view: View::Matrix, format: Format::Csv, shard: None }
+            Submit { view: View::Matrix, format: Format::Csv }
         );
         assert!(parse_submit("PING").is_none());
         assert!(parse_submit("SUBMIT").unwrap().is_err());
         assert!(parse_submit("SUBMIT long").unwrap().is_err());
         assert!(parse_submit("SUBMIT long ascii extra").unwrap().is_err());
         assert!(parse_submit("SUBMIT sideways ascii").unwrap().is_err());
-    }
-
-    #[test]
-    fn sharded_submit_lines_parse_back_and_reject_bad_shards() {
-        let line = submit_line_sharded(View::Long, Format::Ascii, (1, 3));
-        assert_eq!(line, "SUBMIT long ascii shard 1/3");
-        assert_eq!(
-            parse_submit(&line).unwrap().unwrap(),
-            Submit { view: View::Long, format: Format::Ascii, shard: Some((1, 3)) }
-        );
-        // Shard index must stay below the count; zero shards is nonsense.
-        assert!(parse_submit("SUBMIT long ascii shard 3/3").unwrap().is_err());
-        assert!(parse_submit("SUBMIT long ascii shard 0/0").unwrap().is_err());
-        assert!(parse_submit("SUBMIT long ascii shard x/2").unwrap().is_err());
-        assert!(parse_submit("SUBMIT long ascii frag 0/2").unwrap().is_err());
-    }
-
-    #[test]
-    fn result_lines_round_trip_the_full_counters() {
-        let spec = crate::scenario::preset("smoke").unwrap().to_spec();
-        let settings =
-            crate::RunSettings { warmup: 200, measure: 1_000, ..crate::RunSettings::default() };
-        let result = settings.run_job(&spec.benches[0], settings.core());
-        let line = result_line(7, &result);
-        assert!(line.starts_with("RESULT 7 "), "{line}");
-        let (index, back) = parse_result(&line).unwrap().unwrap();
-        assert_eq!(index, 7);
-        assert_eq!(back, result, "hex round-trip must preserve every counter");
-        assert!(parse_result("CELL 0 gzip baseline 1.0").is_none());
-        assert!(parse_result("RESULT x ff").unwrap().is_err());
-        assert!(parse_result("RESULT 1 f").unwrap().is_err());
-        assert!(parse_result("RESULT 1 zz").unwrap().is_err());
-        assert!(parse_result("RESULT 1 +f").unwrap().is_err());
-        assert!(parse_result("RESULT 1 €a").unwrap().is_err(), "non-ASCII must not panic");
     }
 
     #[test]

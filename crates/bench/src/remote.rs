@@ -8,11 +8,7 @@
 //! would print to stdout — plus the server's `STATS` diagnostics line.
 //!
 //! A busy server (`ERR server busy … RETRY-AFTER <ms>`) is retried with
-//! bounded exponential backoff and jitter; any other error is final. The
-//! multi-worker mode ([`submit_workers`]) splits one scenario into
-//! `shard i/n` submissions across several servers, collects each shard's
-//! raw `RESULT` frames, merges them by cell index and renders the table
-//! locally — byte-identical to a single local run.
+//! bounded exponential backoff and jitter; any other error is final.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -20,7 +16,6 @@ use std::time::Duration;
 
 use crate::protocol::{self, Format, View};
 use crate::scenario::Scenario;
-use vpsim_uarch::RunResult;
 
 /// Everything a successful remote submission returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,20 +42,6 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, String> {
         return Err("server closed the connection".into());
     }
     Ok(line.trim_end_matches(['\r', '\n']).to_string())
-}
-
-/// One shard's worth of a multi-worker submission: the raw per-cell
-/// counters plus diagnostics, before the client-side merge.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// `(cell index, counters)` pairs, ascending by index.
-    pub results: Vec<(usize, RunResult)>,
-    /// The streamed `CELL` progress lines, in this shard's index order.
-    pub cell_lines: Vec<String>,
-    /// The server's `STATS …` diagnostics line.
-    pub stats: String,
-    /// Cells in this shard (the server's `OK` count).
-    pub cells: usize,
 }
 
 /// Why one submission attempt failed: busy servers are retryable, every
@@ -125,21 +106,14 @@ fn with_busy_retry<T>(mut attempt: impl FnMut() -> Result<T, SubmitError>) -> Re
     unreachable!("the final attempt either succeeds or returns its error")
 }
 
-/// Everything one wire exchange can carry; full and sharded submissions
-/// read the same frames and pick what they need.
-struct Response {
-    cells: usize,
-    table: Option<String>,
-    stats: String,
-    results: Vec<(usize, RunResult)>,
-}
-
+/// One submission attempt: send `request_line` and the scenario, then
+/// read the reply up to `DONE`.
 fn transact(
     addr: &str,
     request_line: &str,
     scenario: &Scenario,
     progress: &mut dyn FnMut(&str),
-) -> Result<Response, SubmitError> {
+) -> Result<RemoteOutcome, SubmitError> {
     let fatal = SubmitError::Fatal;
     let (mut reader, mut stream) = connect(addr).map_err(fatal)?;
     let request = format!("{request_line}\n{scenario}{}\n", protocol::END_MARKER);
@@ -156,38 +130,46 @@ fn transact(
         Some(("ERR", msg)) => return Err(classify_rejection(msg)),
         _ => return Err(SubmitError::Fatal(format!("unexpected reply from server: {first}"))),
     };
-    let mut response = Response { cells, table: None, stats: String::new(), results: Vec::new() };
+    let (mut table, mut stats) = (None, String::new());
     loop {
         let line = read_line(&mut reader).map_err(fatal)?;
         if line == protocol::DONE {
             break;
         } else if line.starts_with("CELL ") {
             progress(&line);
-        } else if let Some(parsed) = protocol::parse_result(&line) {
-            let (index, result) =
-                parsed.map_err(|e| SubmitError::Fatal(format!("bad RESULT frame: {e}")))?;
-            response.results.push((index, result));
         } else if let Some(n) = line.strip_prefix("TABLE ") {
-            let nbytes: usize = n
+            let nbytes: u64 = n
                 .parse()
                 .map_err(|_| SubmitError::Fatal(format!("malformed table header: {line}")))?;
-            let mut buf = vec![0u8; nbytes];
+            // The header is untrusted: buffer only the bytes that arrive,
+            // so a huge announced length cannot allocate up front.
+            let mut buf = Vec::new();
             reader
-                .read_exact(&mut buf)
+                .by_ref()
+                .take(nbytes)
+                .read_to_end(&mut buf)
                 .map_err(|e| SubmitError::Fatal(format!("truncated table payload: {e}")))?;
-            response.table = Some(
+            if (buf.len() as u64) < nbytes {
+                return Err(SubmitError::Fatal(format!(
+                    "truncated table payload: {} of {nbytes} bytes",
+                    buf.len()
+                )));
+            }
+            table = Some(
                 String::from_utf8(buf)
                     .map_err(|e| SubmitError::Fatal(format!("non-UTF-8 table: {e}")))?,
             );
         } else if line.starts_with("STATS ") {
-            response.stats = line;
+            stats = line;
         } else if let Some(msg) = line.strip_prefix("ERR ") {
             return Err(SubmitError::Fatal(format!("server error: {msg}")));
         } else {
             return Err(SubmitError::Fatal(format!("unexpected line from server: {line}")));
         }
     }
-    Ok(response)
+    let table = table
+        .ok_or_else(|| SubmitError::Fatal("server finished without sending a table".into()))?;
+    Ok(RemoteOutcome { table, stats, cells })
 }
 
 /// Submit `scenario` to the server at `addr` and collect the response.
@@ -203,98 +185,7 @@ pub fn submit(
     mut progress: impl FnMut(&str),
 ) -> Result<RemoteOutcome, String> {
     with_busy_retry(|| {
-        let response =
-            transact(addr, &protocol::submit_line(view, format), scenario, &mut progress)?;
-        let table = response
-            .table
-            .ok_or_else(|| SubmitError::Fatal("server finished without sending a table".into()))?;
-        Ok(RemoteOutcome { table, stats: response.stats, cells: response.cells })
-    })
-}
-
-/// Submit shard `(i, n)` of `scenario` to the server at `addr`: the
-/// server simulates only the cells with `index % n == i` and replies
-/// with raw `RESULT` frames instead of a rendered table. Busy servers
-/// are retried exactly as in [`submit`].
-pub fn submit_shard(
-    addr: &str,
-    scenario: &Scenario,
-    shard: (u32, u32),
-) -> Result<ShardOutcome, String> {
-    with_busy_retry(|| {
-        let mut cell_lines = Vec::new();
-        let line = protocol::submit_line_sharded(View::Long, Format::Ascii, shard);
-        let response = transact(addr, &line, scenario, &mut |l| cell_lines.push(l.to_string()))?;
-        Ok(ShardOutcome {
-            results: response.results,
-            cell_lines,
-            stats: response.stats,
-            cells: response.cells,
-        })
-    })
-}
-
-/// Split `scenario` across several workers — shard `i` of `n` per
-/// address — merge the returned cells by index, and render the table
-/// locally: byte-identical to a single local (or single-server) run.
-/// `progress` receives every shard's `CELL` lines, replayed in global
-/// job-index order once all shards are in. The returned `stats` carries
-/// one `addr: STATS …` line per worker.
-pub fn submit_workers(
-    addrs: &[String],
-    scenario: &Scenario,
-    view: View,
-    format: Format,
-    mut progress: impl FnMut(&str),
-) -> Result<RemoteOutcome, String> {
-    match addrs {
-        [] => return Err("no worker addresses given".into()),
-        [only] => return submit(only, scenario, view, format, progress),
-        _ => {}
-    }
-    let n = addrs.len() as u32;
-    let spec = scenario.to_spec();
-    let expected = spec.job_count();
-    let outcomes: Vec<Result<ShardOutcome, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..addrs.len())
-            .map(|i| scope.spawn(move || submit_shard(&addrs[i], scenario, (i as u32, n))))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("shard client thread panicked")).collect()
-    });
-    let mut cells: Vec<Option<RunResult>> = vec![None; expected];
-    let mut cell_lines = Vec::new();
-    let mut stats = Vec::new();
-    for (addr, outcome) in addrs.iter().zip(outcomes) {
-        let shard = outcome.map_err(|e| format!("worker {addr}: {e}"))?;
-        for (index, result) in shard.results {
-            if index >= expected {
-                return Err(format!("worker {addr} returned out-of-range cell {index}"));
-            }
-            cells[index] = Some(result);
-        }
-        cell_lines.extend(shard.cell_lines);
-        if !shard.stats.is_empty() {
-            stats.push(format!("{addr}: {}", shard.stats));
-        }
-    }
-    let merged: Vec<RunResult> = cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, cell)| cell.ok_or_else(|| format!("no worker returned cell {i}")))
-        .collect::<Result<_, _>>()?;
-    // Replay the cell progress in global job-index order, exactly as a
-    // single server would have streamed it.
-    cell_lines.sort_by_key(|line| {
-        line.split_whitespace().nth(1).and_then(|i| i.parse::<usize>().ok()).unwrap_or(usize::MAX)
-    });
-    for line in &cell_lines {
-        progress(line);
-    }
-    let results = spec.assemble(merged, Default::default());
-    Ok(RemoteOutcome {
-        table: protocol::render_output(&results, view, format),
-        stats: stats.join("\n"),
-        cells: expected,
+        transact(addr, &protocol::submit_line(view, format), scenario, &mut progress)
     })
 }
 

@@ -1,12 +1,9 @@
 //! Shared machinery for running benchmark × configuration sweeps.
 
 use vpsim_isa::Trace;
-use vpsim_stats::mean;
-use vpsim_uarch::tap::{NullSink, PipeEventSink};
+use vpsim_uarch::tap::PipeEventSink;
 use vpsim_uarch::{CoreConfig, RunResult, SampleConfig, SampledResult, Simulator};
 use vpsim_workloads::{Benchmark, WorkloadParams};
-
-use crate::trace_cache::TraceCache;
 
 /// Simulation sizing for a sweep.
 ///
@@ -21,8 +18,11 @@ use crate::trace_cache::TraceCache;
 /// use vpsim_bench::RunSettings;
 /// use vpsim_workloads::benchmark;
 ///
+/// use vpsim_uarch::tap::NullSink;
+///
 /// let s = RunSettings { warmup: 1_000, measure: 5_000, ..RunSettings::default() };
-/// let r = s.run_job(&benchmark("gzip").unwrap(), s.core());
+/// let trace = s.capture(&benchmark("gzip").unwrap(), s.trace_budget(&s.core()));
+/// let r = s.run_trace_with_sink(&trace, s.core(), &mut NullSink);
 /// assert_eq!(r.metrics.instructions, 5_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +35,7 @@ pub struct RunSettings {
     pub scale: usize,
     /// Seed for workload data and predictor randomness.
     pub seed: u64,
-    /// Worker threads used by grid execution ([`crate::sweep::run_grid`]);
+    /// Worker threads used by grid execution ([`crate::sweep::SweepSpec`]);
     /// `1` runs serially on the calling thread. Parallel output is
     /// bit-identical to serial, so this only affects wall-clock time.
     pub threads: usize,
@@ -125,9 +125,10 @@ impl RunSettings {
 
     /// Replay a trace in full under one configuration, streaming pipeline
     /// events into `sink` (see [`vpsim_uarch::tap`]; pass a
-    /// [`NullSink`] for none). Byte-identical to inline execution of the
-    /// benchmark the trace was captured from, given a sufficient capture
-    /// budget ([`Self::trace_budget`]), and unperturbed by the sink.
+    /// [`NullSink`](vpsim_uarch::tap::NullSink) for none). Byte-identical
+    /// to inline execution of the benchmark the trace was captured from,
+    /// given a sufficient capture budget ([`Self::trace_budget`]), and
+    /// unperturbed by the sink.
     /// [`Self::sample`] is ignored: per-cycle attribution of a sampled
     /// estimate would attribute cycles that were never simulated.
     pub fn run_trace_with_sink<T: PipeEventSink>(
@@ -147,20 +148,6 @@ impl RunSettings {
     pub fn run_trace_sampled(&self, trace: &Trace, config: CoreConfig) -> SampledResult {
         let sample = self.sample.unwrap_or_default();
         Simulator::new(config).run_sampled(trace, self.warmup, self.measure, sample)
-    }
-
-    /// Run one benchmark under one configuration: fetch its trace from
-    /// [`TraceCache::global`] (capturing it on first use) and replay it —
-    /// sampled when [`Self::sample`] is set, in full otherwise. With
-    /// sampling on, the result is the combined counters of the sampled
-    /// intervals ([`SampledResult::combined`]) — an estimate, not the
-    /// full replay.
-    pub fn run_job(&self, bench: &Benchmark, config: CoreConfig) -> RunResult {
-        let (trace, _) = TraceCache::global().get(self, bench, self.trace_budget(&config));
-        match self.sample {
-            Some(_) => self.run_trace_sampled(&trace, config).combined(),
-            None => self.run_trace_with_sink(&trace, config, &mut NullSink),
-        }
     }
 }
 
@@ -183,33 +170,14 @@ impl SuiteResults {
             })
             .collect()
     }
-
-    /// Geometric-mean speedup over the baseline.
-    pub fn gmean_speedup(&self, baselines: &SuiteResults) -> f64 {
-        mean::geometric(&self.speedups(baselines)).unwrap_or(1.0)
-    }
-}
-
-/// Run every benchmark in `benches` under the configuration produced by
-/// `make_config`, on `settings.threads` workers.
-///
-/// This is the single-configuration face of [`crate::sweep::run_grid`];
-/// experiments that compare several configurations should pass them to
-/// `run_grid` in one batch so the whole grid shares the worker pool.
-pub fn sweep(
-    settings: &RunSettings,
-    benches: &[Benchmark],
-    make_config: impl Fn() -> CoreConfig,
-) -> SuiteResults {
-    crate::sweep::run_grid(settings, benches, &[make_config()])
-        .pop()
-        .expect("one configuration in, one suite out")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{SchemeChoice, SweepSpec};
     use vpsim_core::PredictorKind;
+    use vpsim_uarch::tap::NullSink;
     use vpsim_uarch::{RecoveryPolicy, VpConfig};
     use vpsim_workloads::benchmark;
 
@@ -221,13 +189,13 @@ mod tests {
     fn baseline_and_vp_runs_complete() {
         let s = tiny();
         let b = benchmark("gzip").unwrap();
-        let base = s.run_job(&b, s.core());
+        let vp_config = s
+            .core()
+            .with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit));
+        let trace = s.capture(&b, s.trace_budget(&vp_config));
+        let base = s.run_trace_with_sink(&trace, s.core(), &mut NullSink);
         assert_eq!(base.metrics.instructions, 10_000);
-        let vp = s.run_job(
-            &b,
-            s.core()
-                .with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit)),
-        );
+        let vp = s.run_trace_with_sink(&trace, vp_config, &mut NullSink);
         assert_eq!(vp.metrics.instructions, 10_000);
         assert!(vp.vp.eligible > 0);
     }
@@ -240,24 +208,22 @@ mod tests {
         let inline =
             Simulator::new(s.core()).run_with_warmup(&(b.build)(&s.params()), s.warmup, s.measure);
         assert_eq!(s.run_trace_with_sink(&trace, s.core(), &mut NullSink), inline);
-        assert_eq!(s.run_job(&b, s.core()), inline);
     }
 
     #[test]
     fn suite_speedups_align_rows() {
-        let s = tiny();
-        let benches: Vec<_> = ["gzip", "h264ref"].iter().map(|n| benchmark(n).unwrap()).collect();
-        let base = sweep(&s, &benches, || s.core());
-        let vp = sweep(&s, &benches, || {
-            s.core().with_vp(VpConfig::enabled(
-                PredictorKind::VtageStride,
-                RecoveryPolicy::SquashAtCommit,
-            ))
-        });
-        let speedups = vp.speedups(&base);
+        let spec = SweepSpec {
+            settings: tiny(),
+            predictors: vec![PredictorKind::VtageStride],
+            schemes: vec![SchemeChoice::Fpc],
+            recoveries: vec![RecoveryPolicy::SquashAtCommit],
+            benches: ["gzip", "h264ref"].iter().map(|n| benchmark(n).unwrap()).collect(),
+            ..SweepSpec::default()
+        };
+        let results = spec.run();
+        let (base, vp) = (&results.baseline, &results.points[0].1);
+        let speedups = vp.speedups(base);
         assert_eq!(speedups.len(), 2);
         assert!(speedups.iter().all(|&x| x > 0.5 && x < 3.0), "{speedups:?}");
-        let g = vp.gmean_speedup(&base);
-        assert!(g > 0.5 && g < 3.0);
     }
 }

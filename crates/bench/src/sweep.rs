@@ -8,16 +8,17 @@
 //! the output of a parallel run is bit-identical to a serial run of the
 //! same grid, regardless of worker count or scheduling.
 //!
-//! Three layers, lowest first:
+//! Two layers, lowest first:
 //!
 //! * [`run_indexed`] — a generic deterministic parallel map: `N` jobs in,
 //!   `N` results out, in index order.
-//! * [`run_grid`] — run every benchmark under every [`CoreConfig`] and
-//!   fold the results into one [`SuiteResults`] per configuration. All the
-//!   simulation-backed experiments in [`crate::experiments`] sit on this.
-//! * [`SweepSpec`] / [`SweepResults`] — the declarative cartesian grid
-//!   behind the `sweep` binary: predictors × confidence choices × recovery
-//!   policies × benchmarks, with long-form and matrix table rendering.
+//! * [`SweepSpec`] → [`PreparedSweep`] → [`SweepResults`] — the
+//!   declarative cartesian grid (predictors × confidence choices ×
+//!   recovery policies × benchmarks) with long-form and matrix table
+//!   rendering. It is the one grid engine: the `sweep` binary, the job
+//!   server and every simulation-backed experiment in
+//!   [`crate::experiments`] (through [`crate::scenario::Scenario::run`])
+//!   run grids through it.
 //!
 //! # Examples
 //!
@@ -340,39 +341,6 @@ fn prefetch_traces(
     (captures.into_iter().map(|(trace, _)| trace).collect(), fresh)
 }
 
-/// Run every benchmark under every configuration and return one
-/// [`SuiteResults`] per configuration, in input order.
-///
-/// Jobs are laid out configuration-major (`configs[0]` over all benchmarks
-/// first), executed on `settings.threads` workers, and merged by index, so
-/// row order matches a serial double loop exactly. Each benchmark's
-/// dynamic trace is captured once, up front and in parallel, and every
-/// cell then replays it from the process-wide [`TraceCache`] through
-/// [`RunSettings::run_job`].
-pub fn run_grid(
-    settings: &RunSettings,
-    benches: &[Benchmark],
-    configs: &[CoreConfig],
-) -> Vec<SuiteResults> {
-    if benches.is_empty() {
-        return configs.iter().map(|_| SuiteResults { rows: Vec::new() }).collect();
-    }
-    // Captured at the largest budget any configuration needs, so each
-    // cell's `run_job` lookup below is an in-memory hit.
-    let _traces = prefetch_traces(settings, benches, configs, None);
-    let results = run_indexed(configs.len() * benches.len(), settings.threads, |i| {
-        let (ci, bi) = (i / benches.len(), i % benches.len());
-        settings.run_job(&benches[bi], configs[ci].clone())
-    });
-    let mut out = Vec::with_capacity(configs.len());
-    let mut it = results.into_iter();
-    for _ in configs {
-        let rows = benches.iter().map(|b| (b.name, it.next().expect("sized exactly"))).collect();
-        out.push(SuiteResults { rows });
-    }
-    out
-}
-
 /// Confidence-estimation choice in a sweep grid, resolved against the
 /// recovery policy of the same grid point (the paper pairs each recovery
 /// scheme with its own FPC probability vector, §5).
@@ -676,36 +644,27 @@ impl SweepSpec {
     /// whose cells can then be run in any order from any thread. This is
     /// the unit the `vpsim-serve` scheduler interleaves across jobs.
     pub fn prepare(&self) -> PreparedSweep {
-        self.prepare_shard(None)
-    }
-
-    /// [`SweepSpec::prepare`] restricted to one shard: with
-    /// `Some((i, n))`, only the cells whose `index % n == i` are probed,
-    /// simulated and emitted, so `n` processes sharing one persistent
-    /// store cover the grid disjointly. The shard results are merged back
-    /// into a full table by [`SweepSpec::assemble`] on the client.
-    pub fn prepare_shard(&self, shard: Option<(u32, u32)>) -> PreparedSweep {
         let start = Instant::now();
         let jobs = self.expand();
-        let emit: Vec<usize> = match shard {
-            Some((i, n)) => (0..jobs.len()).filter(|&x| x as u32 % n.max(1) == i).collect(),
-            None => (0..jobs.len()).collect(),
-        };
         // Probe the persistent result cache: cells finished by any earlier
         // run (or process) are served as-is and never simulated again.
-        let cells: Vec<Mutex<Option<RunResult>>> =
-            (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-        if let Some(cache) = &self.stores.results {
-            for &i in &emit {
-                *cells[i].lock().unwrap() = cache.load(&cell_key(&self.settings, &jobs[i]));
-            }
-        }
-        let hits = emit.iter().filter(|&&i| cells[i].lock().unwrap().is_some()).count() as u64;
+        let cells: Vec<Mutex<Option<RunResult>>> = jobs
+            .iter()
+            .map(|job| {
+                let cached = self
+                    .stores
+                    .results
+                    .as_ref()
+                    .and_then(|cache| cache.load(&cell_key(&self.settings, job)));
+                Mutex::new(cached)
+            })
+            .collect();
         let sim: Vec<usize> =
-            emit.iter().copied().filter(|&i| cells[i].lock().unwrap().is_none()).collect();
+            (0..jobs.len()).filter(|&i| cells[i].lock().unwrap().is_none()).collect();
+        let hits = (jobs.len() - sim.len()) as u64;
         let sampled = self.settings.sample.is_some();
         let mut timing = SweepTiming {
-            jobs: emit.len(),
+            jobs: jobs.len(),
             workloads: self.benches.len(),
             threads: self.settings.threads,
             result_cache_hits: hits,
@@ -732,7 +691,6 @@ impl SweepSpec {
             jobs,
             traces,
             cells,
-            emit,
             sim,
             sampled,
             detailed_uops: AtomicU64::new(0),
@@ -743,25 +701,6 @@ impl SweepSpec {
             timing: Mutex::new(timing),
             start,
         }
-    }
-
-    /// Fold index-ordered per-cell results and a timing record into
-    /// [`SweepResults`] — the merge half of a sharded run: each worker
-    /// returns its cells, the client interleaves them by index and calls
-    /// this to rebuild the exact table a local run would print.
-    pub fn assemble(&self, cells: Vec<RunResult>, timing: SweepTiming) -> SweepResults {
-        assert_eq!(cells.len(), self.job_count(), "one result per expanded cell");
-        let mut it = cells.into_iter();
-        let mut take_suite = || SuiteResults {
-            rows: self
-                .benches
-                .iter()
-                .map(|b| (b.name, it.next().expect("sized exactly")))
-                .collect(),
-        };
-        let baseline = take_suite();
-        let points = self.points().into_iter().map(|p| (p, take_suite())).collect();
-        SweepResults { baseline, points, timing }
     }
 
     /// Execute the sweep with a [`StallTally`] attached to every job and
@@ -813,10 +752,6 @@ impl SweepSpec {
 /// each index in [`PreparedSweep::sim_indices`] — in any order, from any
 /// thread — and results land in index-addressed slots that
 /// [`PreparedSweep::result`] reads and [`PreparedSweep::finish`] merges.
-///
-/// A *sharded* preparation ([`SweepSpec::prepare_shard`]) restricts the
-/// probe/simulate/emit set to the cells whose `index % n == i`; the full
-/// grid is reassembled on the client via [`SweepSpec::assemble`].
 pub struct PreparedSweep {
     spec: SweepSpec,
     jobs: Vec<SweepJob>,
@@ -824,7 +759,6 @@ pub struct PreparedSweep {
     /// the result cache).
     traces: Vec<Arc<Trace>>,
     cells: Vec<Mutex<Option<RunResult>>>,
-    emit: Vec<usize>,
     sim: Vec<usize>,
     sampled: bool,
     // Sampled cells report their actual detailed/fast-forward volume,
@@ -844,19 +778,12 @@ pub struct PreparedSweep {
 }
 
 impl PreparedSweep {
-    /// Every expanded job, in index order (the full grid, even sharded —
-    /// sharding narrows what runs, not what the grid is).
+    /// Every expanded job, in index order.
     pub fn jobs(&self) -> &[SweepJob] {
         &self.jobs
     }
 
-    /// Cell indices this preparation emits (the full grid, or this
-    /// shard's subset), ascending.
-    pub fn emit_indices(&self) -> &[usize] {
-        &self.emit
-    }
-
-    /// Cell indices that still need simulating (the emit set minus
+    /// Cell indices that still need simulating (the grid minus
     /// result-cache hits), ascending.
     pub fn sim_indices(&self) -> &[usize] {
         &self.sim
@@ -923,18 +850,22 @@ impl PreparedSweep {
         timing
     }
 
-    /// Merge every finished cell into [`SweepResults`]. Panics if a cell
-    /// is missing — only an unsharded preparation whose whole grid has
-    /// run (or came from the cache) can finish; sharded cells travel back
-    /// to the client as `RESULT` frames instead and are merged by
-    /// [`SweepSpec::assemble`].
+    /// Merge every finished cell into [`SweepResults`], benchmark rows
+    /// grouped per grid point in job-index order. Panics if a cell is
+    /// missing: only a preparation whose whole grid has run (or came from
+    /// the cache) can finish.
     pub fn finish(&self) -> SweepResults {
-        let cells: Vec<RunResult> = self
+        let mut cells = self
             .cells
             .iter()
-            .map(|cell| cell.lock().unwrap().expect("every cell cached or simulated"))
-            .collect();
-        self.spec.assemble(cells, self.timing())
+            .map(|cell| cell.lock().unwrap().expect("every cell cached or simulated"));
+        let benches = &self.spec.benches;
+        let mut take_suite = || SuiteResults {
+            rows: benches.iter().map(|b| (b.name, cells.next().expect("sized exactly"))).collect(),
+        };
+        let baseline = take_suite();
+        let points = self.spec.points().into_iter().map(|p| (p, take_suite())).collect();
+        SweepResults { baseline, points, timing: self.timing() }
     }
 }
 
@@ -1361,26 +1292,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_matches_individual_runs() {
-        let s = tiny();
-        let benches = [benchmark("gzip").unwrap(), benchmark("h264ref").unwrap()];
-        let vp = s
-            .core()
-            .with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit));
-        let grids = run_grid(&s, &benches, &[s.core(), vp.clone()]);
-        assert_eq!(grids.len(), 2);
-        let inline = |b: &Benchmark, config: CoreConfig| {
-            vpsim_uarch::Simulator::new(config).run_with_warmup(
-                &(b.build)(&s.params()),
-                s.warmup,
-                s.measure,
-            )
-        };
-        assert_eq!(grids[0].rows[0].1, inline(&benches[0], s.core()));
-        assert_eq!(grids[1].rows[1].1, inline(&benches[1], vp));
-    }
-
-    #[test]
     fn timing_json_carries_the_phase_breakdown() {
         let spec = SweepSpec {
             settings: tiny(),
@@ -1569,13 +1480,5 @@ mod tests {
         let store = TraceStore::open(&dir).unwrap();
         assert!(store.load("h264ref", settings.scale, settings.seed).is_some());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn empty_benches_yield_empty_suites() {
-        let s = tiny();
-        let grids = run_grid(&s, &[], &[s.core(), s.core()]);
-        assert_eq!(grids.len(), 2);
-        assert!(grids.iter().all(|g| g.rows.is_empty()));
     }
 }

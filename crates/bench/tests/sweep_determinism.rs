@@ -1,10 +1,10 @@
 //! The sweep engine's core guarantee: a parallel run is **bit-identical**
 //! to a serial run of the same grid, for any worker count.
 
-use vpsim_bench::sweep::{run_grid, SchemeChoice, SweepSpec};
+use vpsim_bench::sweep::{SchemeChoice, SweepSpec};
 use vpsim_bench::RunSettings;
 use vpsim_core::PredictorKind;
-use vpsim_uarch::{RecoveryPolicy, Simulator, VpConfig};
+use vpsim_uarch::{RecoveryPolicy, Simulator};
 use vpsim_workloads::benchmark;
 
 fn tiny() -> RunSettings {
@@ -57,22 +57,4 @@ fn engine_results_match_direct_simulator_runs() {
     let (point, suite) = &results.points[0];
     let by_hand_vp = by_hand(&spec.benches[1], s.core().with_vp(point.vp_config()));
     assert_eq!(suite.rows[1].1, by_hand_vp);
-}
-
-#[test]
-fn run_grid_is_thread_count_invariant() {
-    let mut s = tiny();
-    let benches = [benchmark("gzip").unwrap(), benchmark("mcf").unwrap()];
-    let configs = [
-        s.core(),
-        s.core().with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit)),
-    ];
-    let serial = run_grid(&s, &benches, &configs);
-    for workers in [2, 4] {
-        s.threads = workers;
-        let parallel = run_grid(&s, &benches, &configs);
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.rows, b.rows, "{workers} workers");
-        }
-    }
 }

@@ -4,7 +4,7 @@
 //! The `serve` binary (and the [`start`] library entry point behind it)
 //! accepts `.vps` scenarios over a std-only TCP socket using the
 //! newline-delimited protocol in [`vpsim_bench::protocol`], prepares them
-//! with [`vpsim_bench::sweep::SweepSpec::prepare_shard`], and streams
+//! with [`vpsim_bench::sweep::SweepSpec::prepare`], and streams
 //! per-cell results back as they complete — in strict job-index order —
 //! followed by the final merged table, byte-identical to what a local
 //! `sweep` run prints.
@@ -29,10 +29,6 @@
 //! * admission control: at most `queue_cap` jobs in flight; excess
 //!   submissions get `ERR server busy … RETRY-AFTER <ms>`, which the
 //!   `sweep --remote` client honours with jittered exponential backoff;
-//! * shard support: `SUBMIT … shard <i>/<n>` runs only cells with
-//!   `index % n == i` and answers with raw `RESULT` frames, so several
-//!   server processes sharing one `--store` directory can split a grid
-//!   and the `sweep --workers` client can merge it byte-identically;
 //! * abandoned-job reclamation: when a client disconnects mid-stream the
 //!   handler logs the peer and job id, and the scheduler drops the job's
 //!   pending cells instead of simulating them for a dead socket

@@ -306,7 +306,7 @@ fn serve_submission(
     let mut spec = scenario.to_spec();
     spec.settings.threads = 1;
     spec.stores = shared.stores.clone();
-    let prepared = Arc::new(spec.prepare_shard(submit.shard));
+    let prepared = Arc::new(spec.prepare());
     let entry = JobEntry::new(id, Arc::clone(&prepared));
     if shared.scheduler.enqueue(Arc::clone(&entry)).is_err() {
         let _ = write_line(stream, &protocol::err_line("server is shutting down"));
@@ -317,8 +317,8 @@ fn serve_submission(
         return Served::Hangup;
     };
     let mut reply = Reply { writer: BufWriter::new(write_half), broken: false };
-    reply.line(&protocol::ok_line(prepared.emit_indices().len()));
-    for &index in prepared.emit_indices() {
+    reply.line(&protocol::ok_line(prepared.jobs().len()));
+    for index in 0..prepared.jobs().len() {
         let result = match prepared.result(index) {
             Some(result) => result,
             None => match entry.wait_cell(index) {
@@ -345,25 +345,12 @@ fn serve_submission(
         return Served::Hangup;
     }
     drop(ticket);
-    match submit.shard {
-        None => {
-            // Full submission: every cell is present, render the table.
-            let results = prepared.finish();
-            let table = protocol::render_output(&results, submit.view, submit.format);
-            reply.line(&protocol::table_header(table.len()));
-            reply.raw(table.as_bytes());
-            if !reply.broken {
-                let _ = reply.writer.flush();
-            }
-        }
-        Some(_) => {
-            // Shard: the client merges raw results across workers, so
-            // send full-precision counters instead of a rendered table.
-            for &index in prepared.emit_indices() {
-                let result = prepared.result(index).expect("emitted cell has a result");
-                reply.line(&protocol::result_line(index, &result));
-            }
-        }
+    let results = prepared.finish();
+    let table = protocol::render_output(&results, submit.view, submit.format);
+    reply.line(&protocol::table_header(table.len()));
+    reply.raw(table.as_bytes());
+    if !reply.broken {
+        let _ = reply.writer.flush();
     }
     reply.line(&protocol::stats_line_served(&prepared.timing(), entry.queue_wait(), entry.wall()));
     reply.line(protocol::DONE);

@@ -85,6 +85,28 @@ fn remote_submissions_match_local_and_repeat_from_cache() {
     handle.join();
     assert!(remote::ping(&addr).is_err(), "server is gone after shutdown");
 
+    // A second server on the same store directory serves every cell the
+    // first one finished: byte-identical table, nothing simulated.
+    let handle = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        store_dir: Some(dir.clone()),
+        threads: 2,
+        queue_cap: 4,
+    })
+    .expect("second server starts on the shared store");
+    let addr = handle.addr().to_string();
+    let shared = remote::submit(&addr, &scenario, View::Long, Format::Csv, |_| {})
+        .expect("submission to the second server succeeds");
+    assert_eq!(shared.table, first.table, "shared-store table is byte-identical");
+    assert!(shared.stats.contains("cells_simulated=0"), "shared store: {}", shared.stats);
+    assert!(
+        shared.stats.contains(&format!("result_cache_hits={job_count}")),
+        "shared store serves every cell: {}",
+        shared.stats
+    );
+    remote::shutdown(&addr).expect("second server acknowledges SHUTDOWN");
+    handle.join();
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -103,8 +103,7 @@ impl RunResult {
     /// Serialize into a fixed-size checksummed record: the magic/version
     /// prefix, every counter as a little-endian `u64` in declaration
     /// order, and a trailing FNV-1a 64 checksum. The result cache stores
-    /// it as is, `RESULT` protocol lines carry it in hex, and
-    /// [`RunResult::from_bytes`] is the exact inverse.
+    /// it as is, and [`RunResult::from_bytes`] is the exact inverse.
     ///
     /// Unlike traces and checkpoints this record is not a
     /// `vpsim_isa::frame`: the repository benchmark's committed reference
