@@ -6,8 +6,8 @@
 //!   bookkeeping ([`SuiteResults`]).
 //! * [`sweep`] — the deterministic parallel sweep engine: a declarative
 //!   [`sweep::SweepSpec`] grid expanded into independent jobs, executed on
-//!   a scoped worker pool with a bounded work queue, and merged in job
-//!   order so parallel output is bit-identical to serial.
+//!   a scoped worker pool that takes indices from one shared counter, and
+//!   merged in job order so parallel output is bit-identical to serial.
 //! * [`trace_cache`] — capture-once / replay-many: each workload's dynamic
 //!   instruction trace is captured once per process (or mapped from the
 //!   on-disk trace store) and shared (`Arc<Trace>`) across every grid

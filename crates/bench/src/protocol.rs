@@ -39,6 +39,8 @@
 //! simulated or served from the persistent result cache. Only the `STATS`
 //! diagnostics line reflects cache state.
 
+use std::io::{self, BufRead, Read};
+
 use crate::sweep::{SweepJob, SweepResults, SweepTiming};
 use vpsim_uarch::RunResult;
 
@@ -118,6 +120,27 @@ pub const SHUTDOWN: &str = "SHUTDOWN";
 pub const BYE: &str = "BYE";
 /// Last line of a successful submission response.
 pub const DONE: &str = "DONE";
+/// Longest line either end accepts, newline included.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+/// Longest scenario block (the lines between `SUBMIT` and `END`) the
+/// server accepts.
+pub const MAX_SCENARIO_BYTES: usize = 1024 * 1024;
+
+/// Read one line of at most `cap` bytes, newline included; `Ok(None)` is
+/// a clean EOF. A longer line is an `InvalidData` error raised after at
+/// most `cap + 1` bytes, so a peer that never sends a newline cannot grow
+/// the buffer past the cap. The framing is lost after that error.
+pub fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<Option<String>> {
+    let mut line = String::new();
+    let n = reader.take(cap as u64 + 1).read_line(&mut line)?;
+    if n > cap {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line longer than {cap} bytes"),
+        ));
+    }
+    Ok((n > 0).then_some(line))
+}
 
 /// A parsed `SUBMIT` request line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,6 +317,22 @@ mod tests {
         );
         assert!(served.starts_with(&stats_line(&timing)), "{served}");
         assert!(served.ends_with("queue_wait_ms=12 wall_ms=345"), "{served}");
+    }
+
+    #[test]
+    fn capped_reads_stop_at_the_cap() {
+        let mut input: &[u8] = b"PING\nabcdefghij\nlast";
+        assert_eq!(read_line_capped(&mut input, 8).unwrap().as_deref(), Some("PING\n"));
+        let err = read_line_capped(&mut input, 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Only `cap + 1` bytes were consumed: the rest is still unread.
+        assert_eq!(input, b"j\nlast");
+        assert_eq!(read_line_capped(&mut input, 8).unwrap().as_deref(), Some("j\n"));
+        assert_eq!(read_line_capped(&mut input, 8).unwrap().as_deref(), Some("last"));
+        assert_eq!(read_line_capped(&mut input, 8).unwrap(), None);
+        // A line of exactly `cap` bytes, newline included, fits.
+        let mut exact: &[u8] = b"1234567\n";
+        assert_eq!(read_line_capped(&mut exact, 8).unwrap().as_deref(), Some("1234567\n"));
     }
 
     #[test]

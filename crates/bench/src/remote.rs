@@ -10,7 +10,7 @@
 //! A busy server (`ERR server busy … RETRY-AFTER <ms>`) is retried with
 //! bounded exponential backoff and jitter; any other error is final.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -36,11 +36,9 @@ fn connect(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), String> {
 }
 
 fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, String> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(|e| format!("connection error: {e}"))?;
-    if n == 0 {
-        return Err("server closed the connection".into());
-    }
+    let line = protocol::read_line_capped(reader, protocol::MAX_LINE_BYTES)
+        .map_err(|e| format!("connection error: {e}"))?
+        .ok_or("server closed the connection")?;
     Ok(line.trim_end_matches(['\r', '\n']).to_string())
 }
 

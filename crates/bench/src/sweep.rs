@@ -4,14 +4,17 @@
 //! confidence × recovery) runs. Each grid cell is an independent
 //! simulation, so the engine here expands a declarative [`SweepSpec`] into
 //! index-numbered jobs, executes them on a [`std::thread::scope`] worker
-//! pool fed by a bounded work queue, and merges results **by job index** —
-//! the output of a parallel run is bit-identical to a serial run of the
-//! same grid, regardless of worker count or scheduling.
+//! pool that takes indices from one shared counter, and merges results
+//! **by job index** — the output of a parallel run is bit-identical to a
+//! serial run of the same grid, regardless of worker count or scheduling.
 //!
 //! Two layers, lowest first:
 //!
 //! * [`run_indexed`] — a generic deterministic parallel map: `N` jobs in,
-//!   `N` results out, in index order.
+//!   `N` results out, in index order. It is the one local worker pool:
+//!   trace prefetch, [`SweepSpec::run`] and the stall report run on it
+//!   (the job server interleaves [`PreparedSweep`] cells on its own
+//!   scheduler instead).
 //! * [`SweepSpec`] → [`PreparedSweep`] → [`SweepResults`] — the
 //!   declarative cartesian grid (predictors × confidence choices ×
 //!   recovery policies × benchmarks) with long-form and matrix table
@@ -43,9 +46,8 @@
 //! assert_eq!(serial.table().to_csv(), parallel.table().to_csv());
 //! ```
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::runner::{RunSettings, SuiteResults};
@@ -61,95 +63,6 @@ use vpsim_uarch::{CoreConfig, RecoveryPolicy, RunResult, VpConfig};
 use vpsim_workloads::Benchmark;
 
 // ---------------------------------------------------------------------------
-// Bounded work queue
-// ---------------------------------------------------------------------------
-
-/// A bounded multi-producer/multi-consumer queue of job indices.
-///
-/// `push` blocks while the queue is at capacity; `pop` blocks while it is
-/// empty and not yet closed. Closing wakes every waiter: pending `pop`s
-/// drain the remaining items and then return `None`, pending `push`es give
-/// up. The items are plain indices, so the bound is not about memory —
-/// it keeps dispatch FIFO and lets future callers stream jobs from a
-/// producer that is itself doing work (e.g. generating grid cells on the
-/// fly) without racing ahead of the workers.
-struct BoundedQueue {
-    cap: usize,
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct QueueState {
-    items: VecDeque<usize>,
-    closed: bool,
-}
-
-impl BoundedQueue {
-    fn new(cap: usize) -> Self {
-        BoundedQueue {
-            cap: cap.max(1),
-            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Enqueue `item`, blocking while full. Returns `false` if the queue
-    /// was closed before the item could be enqueued.
-    fn push(&self, item: usize) -> bool {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.closed {
-                return false;
-            }
-            if st.items.len() < self.cap {
-                st.items.push_back(item);
-                self.not_empty.notify_one();
-                return true;
-            }
-            st = self.not_full.wait(st).unwrap();
-        }
-    }
-
-    /// Dequeue the next item, blocking while empty. Returns `None` once
-    /// the queue is closed and drained.
-    fn pop(&self) -> Option<usize> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-/// Closes the queue if its thread unwinds, so the producer blocked on a
-/// full queue cannot deadlock; the panic itself resurfaces when the scope
-/// joins the worker.
-struct CloseOnPanic<'a>(&'a BoundedQueue);
-
-impl Drop for CloseOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.close();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Deterministic parallel map
 // ---------------------------------------------------------------------------
 
@@ -157,10 +70,12 @@ impl Drop for CloseOnPanic<'_> {
 /// results **in job-index order**.
 ///
 /// `threads <= 1` runs everything serially on the calling thread; any
-/// higher count spawns scoped workers fed by a bounded queue. Because each
-/// result is written to its own index slot, the returned vector — and
-/// therefore anything rendered from it — is identical for every thread
-/// count.
+/// higher count spawns `threads.min(jobs)` scoped workers that take the
+/// next index from one shared counter. Because each result is written to
+/// its own index slot, the returned vector — and therefore anything
+/// rendered from it — is identical for every thread count. A panicking
+/// job stops further dispatch, and its panic resurfaces once the running
+/// jobs finish.
 ///
 /// # Examples
 ///
@@ -179,137 +94,42 @@ where
     if threads <= 1 || jobs <= 1 {
         return (0..jobs).map(run).collect();
     }
-    let workers = threads.min(jobs);
-    let queue = BoundedQueue::new(2 * workers);
+    // The counter publishes no data: each result goes through its slot's
+    // mutex and the scope's join, so `Relaxed` is enough.
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..threads.min(jobs) {
             scope.spawn(|| {
-                let _guard = CloseOnPanic(&queue);
-                while let Some(i) = queue.pop() {
+                let _stop = StopOnPanic { next: &next, jobs };
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs {
+                        break;
+                    }
                     let result = run(i);
-                    *slots[i].lock().unwrap() = Some(result);
+                    *slots[i].lock().expect("no job runs under a slot lock") = Some(result);
                 }
             });
         }
-        for i in 0..jobs {
-            if !queue.push(i) {
-                break; // a worker panicked and closed the queue
-            }
-        }
-        queue.close();
     });
     slots.into_iter().map(|slot| slot.into_inner().unwrap().expect("every job ran")).collect()
 }
 
-/// Per-job result slots for [`run_indexed_streamed`], plus the flag the
-/// in-order consumer needs to bail out if a worker dies.
-struct StreamState<T> {
-    slots: Vec<Option<T>>,
-    failed: bool,
+/// Exhausts the dispatch counter if its worker unwinds, so the other
+/// workers stop after their current job; the panic itself resurfaces when
+/// the scope joins the worker.
+struct StopOnPanic<'a> {
+    next: &'a AtomicUsize,
+    jobs: usize,
 }
 
-/// Marks the stream failed if its worker unwinds, so the in-order
-/// consumer cannot wait forever on a slot that will never fill; the panic
-/// itself resurfaces when the scope joins the worker.
-struct FailOnPanic<'a, T> {
-    state: &'a Mutex<StreamState<T>>,
-    ready: &'a Condvar,
-}
-
-impl<T> Drop for FailOnPanic<'_, T> {
+impl Drop for StopOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            if let Ok(mut st) = self.state.lock() {
-                st.failed = true;
-            }
-            self.ready.notify_all();
+            self.next.store(self.jobs, Ordering::Relaxed);
         }
     }
-}
-
-/// Like [`run_indexed`], but additionally invokes `consume(i, &result)`
-/// **on the calling thread, in strict job-index order**, as results
-/// become available — the streaming primitive behind the job server's
-/// per-cell result lines. Returns the full result vector in index order,
-/// exactly as [`run_indexed`] does, so streamed and merged views can
-/// never disagree.
-///
-/// With more than one thread, job indices are fed to the worker pool from
-/// a scoped producer thread while the calling thread waits on the next
-/// unconsumed slot; out-of-order completions simply park in their slots
-/// until their turn.
-///
-/// # Examples
-///
-/// ```
-/// use vpsim_bench::sweep::run_indexed_streamed;
-///
-/// let mut seen = Vec::new();
-/// let results = run_indexed_streamed(10, 4, |i| i * i, |i, &r| seen.push((i, r)));
-/// assert_eq!(results, (0..10).map(|i| i * i).collect::<Vec<_>>());
-/// assert_eq!(seen, (0..10).map(|i| (i, i * i)).collect::<Vec<_>>());
-/// ```
-pub fn run_indexed_streamed<T, F, C>(jobs: usize, threads: usize, run: F, mut consume: C) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    C: FnMut(usize, &T),
-{
-    if threads <= 1 || jobs <= 1 {
-        return (0..jobs)
-            .map(|i| {
-                let result = run(i);
-                consume(i, &result);
-                result
-            })
-            .collect();
-    }
-    let workers = threads.min(jobs);
-    let queue = BoundedQueue::new(2 * workers);
-    let state = Mutex::new(StreamState { slots: (0..jobs).map(|_| None).collect(), failed: false });
-    let ready = Condvar::new();
-    let mut out = Vec::with_capacity(jobs);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _close = CloseOnPanic(&queue);
-                let _fail = FailOnPanic { state: &state, ready: &ready };
-                while let Some(i) = queue.pop() {
-                    let result = run(i);
-                    state.lock().unwrap().slots[i] = Some(result);
-                    ready.notify_all();
-                }
-            });
-        }
-        // The producer feeds the queue from its own scoped thread so the
-        // calling thread is free to consume strictly in order below.
-        scope.spawn(|| {
-            for i in 0..jobs {
-                if !queue.push(i) {
-                    return; // a worker panicked and closed the queue
-                }
-            }
-            queue.close();
-        });
-        'consume: for i in 0..jobs {
-            let mut st = state.lock().unwrap();
-            let result = loop {
-                if let Some(result) = st.slots[i].take() {
-                    break result;
-                }
-                if st.failed {
-                    break 'consume; // the panic resurfaces at scope join
-                }
-                st = ready.wait(st).unwrap();
-            };
-            drop(st);
-            consume(i, &result);
-            out.push(result);
-        }
-    });
-    assert_eq!(out.len(), jobs, "every job ran");
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -583,15 +403,6 @@ impl SweepSpec {
     /// Output is bit-identical for every thread count. Each workload's
     /// trace is captured (or fetched from a store) once and shared across
     /// the whole grid via `Arc<Trace>`.
-    pub fn run(&self) -> SweepResults {
-        self.run_streamed(|_, _| {})
-    }
-
-    /// Execute the sweep, invoking `on_cell(job, result)` **in job-index
-    /// order** as each grid cell finishes — the engine behind the job
-    /// server's per-cell result stream. The returned [`SweepResults`] is
-    /// identical to [`SweepSpec::run`]'s (which is just this method with
-    /// an empty callback).
     ///
     /// With a persistent result cache configured ([`SweepSpec::stores`]),
     /// every cell is first looked up by its canonical key
@@ -600,40 +411,12 @@ impl SweepSpec {
     /// `timing.uops == 0` — and freshly simulated cells are persisted as
     /// they complete. With a trace store configured, the in-memory trace
     /// cache falls through to disk before capturing.
-    pub fn run_streamed(&self, mut on_cell: impl FnMut(&SweepJob, &RunResult)) -> SweepResults {
+    pub fn run(&self) -> SweepResults {
         let prepared = self.prepare();
-        // Stream cells in strict job order: leading cached cells go out
-        // immediately, the rest as soon as every earlier cell is done.
-        let mut emitted = 0;
-        while emitted < prepared.jobs.len() {
-            match prepared.result(emitted) {
-                Some(result) => {
-                    on_cell(&prepared.jobs[emitted], &result);
-                    emitted += 1;
-                }
-                None => break,
-            }
-        }
-        if !prepared.sim.is_empty() {
+        let sim = prepared.sim_indices();
+        if !sim.is_empty() {
             let replay_start = Instant::now();
-            run_indexed_streamed(
-                prepared.sim.len(),
-                self.settings.threads,
-                |k| prepared.run_cell(prepared.sim[k]),
-                |_, _| {
-                    // `run_cell` already parked the result in its slot;
-                    // drain every cell that is now next in line.
-                    while emitted < prepared.jobs.len() {
-                        match prepared.result(emitted) {
-                            Some(result) => {
-                                on_cell(&prepared.jobs[emitted], &result);
-                                emitted += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                },
-            );
+            run_indexed(sim.len(), self.settings.threads, |k| prepared.run_cell(sim[k]));
             prepared.note_replay(replay_start.elapsed());
         }
         prepared.finish()
@@ -827,7 +610,7 @@ impl PreparedSweep {
     }
 
     /// Add simulation wall-clock to the timing record (the local engine
-    /// times its streamed phase; the job server sums per-job execution).
+    /// times its parallel map; the job server sums per-job execution).
     pub fn note_replay(&self, elapsed: Duration) {
         *self.replay.lock().unwrap() += elapsed;
     }
@@ -981,8 +764,8 @@ pub struct SweepTiming {
 impl SweepTiming {
     /// Nanoseconds of simulation (replay) wall-clock per committed
     /// µop — the timing model's throughput figure, tracked across PRs in
-    /// `BENCH_sweep.json` and reported by the `pipeline_cycle` criterion
-    /// bench. Zero when no µops were simulated.
+    /// `BENCH_sweep.json`; perfbench reports the same figure per predictor
+    /// as `uarch.replay_ns_per_uop.*`. Zero when no µops were simulated.
     ///
     /// # Examples
     ///
@@ -1153,15 +936,19 @@ mod tests {
     }
 
     #[test]
-    fn queue_drains_after_close() {
-        let q = BoundedQueue::new(4);
-        assert!(q.push(1));
-        assert!(q.push(2));
-        q.close();
-        assert!(!q.push(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
+    fn a_panicking_job_stops_dispatch_and_resurfaces() {
+        for threads in [1, 4] {
+            let ran = AtomicUsize::new(0);
+            let outcome = std::panic::catch_unwind(|| {
+                run_indexed(1_000, threads, |i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    assert_ne!(i, 0, "job 0 fails");
+                    std::thread::sleep(Duration::from_millis(1));
+                })
+            });
+            assert!(outcome.is_err(), "threads={threads}: the panic must resurface");
+            assert!(ran.load(Ordering::Relaxed) < 1_000, "threads={threads}: dispatch must stop");
+        }
     }
 
     #[test]
@@ -1375,49 +1162,6 @@ mod tests {
         let parallel =
             SweepSpec { settings: RunSettings { threads: 4, ..settings }, ..spec.clone() }.run();
         assert_eq!(parallel.table().to_csv(), results.table().to_csv());
-    }
-
-    #[test]
-    fn run_indexed_streamed_consumes_in_order_and_matches_run_indexed() {
-        for threads in [1, 2, 4, 8] {
-            let mut seen = Vec::new();
-            let results = run_indexed_streamed(
-                23,
-                threads,
-                |i| i * 3 + 1,
-                |i, &r| {
-                    seen.push((i, r));
-                },
-            );
-            assert_eq!(results, run_indexed(23, 1, |i| i * 3 + 1), "threads={threads}");
-            assert_eq!(seen, (0..23).map(|i| (i, i * 3 + 1)).collect::<Vec<_>>());
-        }
-        assert!(run_indexed_streamed(0, 4, |i| i, |_, _| {}).is_empty());
-    }
-
-    #[test]
-    fn streamed_cells_match_the_merged_results() {
-        let spec = SweepSpec {
-            settings: tiny(),
-            predictors: vec![PredictorKind::Lvp],
-            schemes: vec![SchemeChoice::Fpc],
-            recoveries: vec![RecoveryPolicy::SquashAtCommit],
-            benches: vec![benchmark("gzip").unwrap(), benchmark("mcf").unwrap()],
-            ..SweepSpec::default()
-        };
-        let mut streamed = Vec::new();
-        let results = spec.run_streamed(|job, r| streamed.push((job.index, job.bench.name, *r)));
-        assert_eq!(streamed.len(), spec.job_count());
-        for (k, (index, _, _)) in streamed.iter().enumerate() {
-            assert_eq!(*index, k, "cells must stream in job-index order");
-        }
-        // Baseline cells first (benchmark-major), then the grid point.
-        assert_eq!(streamed[0].1, "gzip");
-        assert_eq!(streamed[1].1, "mcf");
-        assert_eq!(streamed[0].2, results.baseline.rows[0].1);
-        assert_eq!(streamed[1].2, results.baseline.rows[1].1);
-        assert_eq!(streamed[2].2, results.points[0].1.rows[0].1);
-        assert_eq!(streamed[3].2, results.points[0].1.rows[1].1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! [crate docs](crate) for the shape and [`vpsim_bench::protocol`] for
 //! the wire format.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -193,6 +193,18 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(b"\n")
 }
 
+/// End a connection whose input broke the framing: over-long or non-UTF-8
+/// input gets one `ERR` line before the hang-up, an I/O failure just the
+/// hang-up. Shutting the write half down sends EOF before the socket
+/// closes, so the client reads the `ERR` line and then EOF even though
+/// the input it sent past the cap, still unread, resets the connection.
+fn hang_up(stream: &mut TcpStream, e: &std::io::Error) {
+    if e.kind() == ErrorKind::InvalidData {
+        let _ = write_line(stream, &protocol::err_line(&e.to_string()));
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
 /// Releases the admission ticket on every exit path.
 struct Ticket<'a>(&'a Scheduler);
 
@@ -205,16 +217,20 @@ impl Drop for Ticket<'_> {
 /// Serve one connection: commands in, replies out, until EOF or a fatal
 /// I/O error. Malformed input of every kind gets an `ERR` line and the
 /// loop continues — a bad scenario never costs the client its connection.
+/// Input that breaks the framing (a line over [`protocol::MAX_LINE_BYTES`],
+/// a scenario over [`protocol::MAX_SCENARIO_BYTES`], bytes that are not
+/// UTF-8) gets one `ERR` line and a hang-up, so no client can grow the
+/// handler's buffers without bound.
 fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &Shared) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut stream = stream;
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return, // client EOF, reset, or shutdown
-            Ok(_) => {}
-        }
+        let line = match protocol::read_line_capped(&mut reader, protocol::MAX_LINE_BYTES) {
+            Ok(Some(line)) => line,
+            Ok(None) => return, // client EOF
+            Err(e) => return hang_up(&mut stream, &e),
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -244,15 +260,21 @@ fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &Shared) {
             };
             let mut text = String::new();
             loop {
-                let mut block_line = String::new();
-                match reader.read_line(&mut block_line) {
-                    Ok(0) | Err(_) => return, // EOF mid-submission
-                    Ok(_) => {}
-                }
+                let block_line =
+                    match protocol::read_line_capped(&mut reader, protocol::MAX_LINE_BYTES) {
+                        Ok(Some(line)) => line,
+                        Ok(None) => return, // EOF mid-submission
+                        Err(e) => return hang_up(&mut stream, &e),
+                    };
                 if block_line.trim_end_matches(['\r', '\n']) == protocol::END_MARKER {
                     break;
                 }
                 text.push_str(&block_line);
+                if text.len() > protocol::MAX_SCENARIO_BYTES {
+                    let msg =
+                        format!("scenario longer than {} bytes", protocol::MAX_SCENARIO_BYTES);
+                    return hang_up(&mut stream, &std::io::Error::new(ErrorKind::InvalidData, msg));
+                }
             }
             let scenario = match text.parse::<Scenario>() {
                 Ok(scenario) => scenario,

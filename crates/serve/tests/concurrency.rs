@@ -48,22 +48,31 @@ fn concurrent_submissions_interleave_and_stay_byte_identical() {
 
     // All four clients submit at once; the pool interleaves their cells
     // fairly, and each response is still byte-identical to a local run.
-    let tables: Vec<String> = std::thread::scope(|scope| {
+    let outcomes: Vec<(String, Vec<String>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = scenarios
             .iter()
             .map(|scenario| {
                 let addr = addr.clone();
                 scope.spawn(move || {
-                    remote::submit(&addr, scenario, View::Long, Format::Csv, |_| {})
-                        .expect("concurrent submission succeeds")
-                        .table
+                    let mut cells = Vec::new();
+                    let outcome = remote::submit(&addr, scenario, View::Long, Format::Csv, |c| {
+                        cells.push(c.to_string())
+                    })
+                    .expect("concurrent submission succeeds");
+                    (outcome.table, cells)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
-    for (table, expected) in tables.iter().zip(&local) {
+    for ((table, cells), (scenario, expected)) in outcomes.iter().zip(scenarios.iter().zip(&local))
+    {
         assert_eq!(table, expected, "concurrent output is byte-identical to a local run");
+        // Cells complete out of order on the shared pool but stream in
+        // job-index order.
+        let indices: Vec<usize> =
+            cells.iter().map(|c| c.split(' ').nth(1).unwrap().parse().unwrap()).collect();
+        assert_eq!(indices, (0..scenario.to_spec().job_count()).collect::<Vec<_>>());
     }
 
     // The completion counter ticks just after `DONE` is flushed, so a

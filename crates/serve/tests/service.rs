@@ -5,6 +5,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use vpsim_bench::protocol::{self, Format, View};
 use vpsim_bench::remote;
@@ -43,8 +44,14 @@ fn remote_submissions_match_local_and_repeat_from_cache() {
     let scenario = small_scenario();
     let spec = scenario.to_spec();
     let job_count = spec.job_count();
-    let local_long = protocol::render_output(&spec.run(), View::Long, Format::Csv);
-    let local_matrix = protocol::render_output(&spec.run(), View::Matrix, Format::Ascii);
+    let local = spec.run();
+    let local_long = protocol::render_output(&local, View::Long, Format::Csv);
+    let local_matrix = protocol::render_output(&local, View::Matrix, Format::Ascii);
+    // Job order: the baseline suite, then each grid point's suite.
+    let local_cells: Vec<_> = std::iter::once(&local.baseline)
+        .chain(local.points.iter().map(|(_, suite)| suite))
+        .flat_map(|suite| suite.rows.iter())
+        .collect();
 
     // First submission simulates every cell and fills the stores.
     let mut cells_first = Vec::new();
@@ -54,6 +61,14 @@ fn remote_submissions_match_local_and_repeat_from_cache() {
     .expect("first submission succeeds");
     assert_eq!(first.cells, job_count);
     assert_eq!(cells_first.len(), job_count);
+    // Cells stream in job-index order, each equal to the local run's cell.
+    for (k, (job, line)) in spec.expand().iter().zip(&cells_first).enumerate() {
+        let (bench, result) = local_cells[k];
+        assert_eq!(job.bench.name, *bench);
+        let label = job.point.as_ref().map_or("baseline".to_string(), |p| p.label());
+        let expected = format!("CELL {k} {bench} {label} {:.3}", result.metrics.ipc());
+        assert_eq!(line, &expected, "cell {k}");
+    }
     assert_eq!(first.table, local_long, "remote table is byte-identical to a local run");
     assert!(first.stats.contains("result_cache_hits=0"), "first run: {}", first.stats);
 
@@ -152,6 +167,52 @@ fn malformed_input_gets_err_replies_without_losing_the_connection() {
     handle.shutdown();
     drop(stream);
     handle.join();
+}
+
+#[test]
+fn a_line_without_newline_gets_err_and_a_hang_up() {
+    let handle = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        store_dir: None,
+        threads: 1,
+        queue_cap: 1,
+    })
+    .expect("server starts");
+    let addr = handle.addr().to_string();
+
+    // 1 MiB with no newline.
+    let mut reader = send_raw(&addr, &vec![b'x'; 1 << 20]);
+    expect_err_then_eof(&mut reader, "over-long line");
+
+    // A scenario block of short lines that adds up past its cap.
+    let mut block = b"SUBMIT long csv\n".to_vec();
+    for _ in 0..20 {
+        block.extend_from_slice(&[b'#'; 60_000]);
+        block.push(b'\n');
+    }
+    let mut reader = send_raw(&addr, &block);
+    expect_err_then_eof(&mut reader, "over-long scenario");
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// Connect, send `bytes` and return the read half, with a 10 s read
+/// timeout. The send may fail part-way once the server hangs up.
+fn send_raw(addr: &str, bytes: &[u8]) -> BufReader<TcpStream> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    let _ = stream.write_all(bytes);
+    reader
+}
+
+fn expect_err_then_eof(reader: &mut BufReader<TcpStream>, what: &str) {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the server answers before the timeout");
+    assert!(line.starts_with("ERR "), "{what} is refused: {line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("EOF, not a timeout"), 0, "hang-up: {line}");
 }
 
 #[test]

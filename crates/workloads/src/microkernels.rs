@@ -1,5 +1,5 @@
-//! Small single-behavior kernels used by examples, tests and ablation
-//! benches (not part of the Table 3 suite).
+//! Small single-behavior kernels used by examples, tests and the `k:*`
+//! scenario workloads (not part of the Table 3 suite).
 //!
 //! Each kernel isolates one behavior class: strided values, tight loops
 //! (back-to-back fetches, §3.2), pointer chasing, constant values,
