@@ -233,15 +233,21 @@ fn main() -> ExitCode {
         let sampled = settings.run_trace_sampled(&trace, config);
         print_result(&sampled.combined());
         println!();
-        match vpsim_stats::sample::confidence_interval(&sampled.interval_ipcs()) {
-            Some(est) => {
+        match vpsim_stats::sample::confidence_interval(&sampled.interval_cpis()) {
+            Some(cpi) => {
+                // IPC is 1 / CPI, so the CPI interval's edges swap places.
+                let upper = if cpi.lower() > 0.0 {
+                    format!("{:.3}", 1.0 / cpi.lower())
+                } else {
+                    "inf".to_string()
+                };
                 println!(
-                    "sampled IPC       {:.3} ± {:.3} (95% CI over {} interval(s), \
-                     ±{:.2}% relative)",
-                    est.mean,
-                    est.half_width,
+                    "sampled IPC       {:.3} (95% CI {:.3}..{upper} over {} interval(s), \
+                     CPI ±{:.2}% relative)",
+                    1.0 / cpi.mean,
+                    1.0 / cpi.upper(),
                     sampled.intervals_replayed(),
-                    est.relative_error() * 100.0,
+                    cpi.relative_error() * 100.0,
                 );
                 println!(
                     "sampling cost     {} detailed µops, {} fast-forwarded",

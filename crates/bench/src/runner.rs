@@ -88,15 +88,7 @@ impl RunSettings {
         if self.threads == 0 {
             return Err("threads must be >= 1 (1 runs serially on the calling thread)".into());
         }
-        if let Some(sample) = self.sample {
-            if sample.intervals == 0 {
-                return Err("sample.intervals must be > 0 (intervals replayed in detail)".into());
-            }
-            if sample.period == 0 {
-                return Err("sample.period must be > 0 (interval length in µops)".into());
-            }
-        }
-        Ok(())
+        self.sample.map_or(Ok(()), |sample| sample.validate())
     }
 
     /// Workload generation parameters.

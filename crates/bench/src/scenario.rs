@@ -179,39 +179,10 @@ impl CoreOverrides {
         fields.into_iter().filter_map(|(name, v)| v.map(|v| (name, v))).collect()
     }
 
-    /// The invariants [`CoreConfig::validate`] would panic on, as errors.
+    /// [`CoreConfig::validate`] on the overrides applied to Table 2, with
+    /// the offending field named by its scenario key.
     fn validate(&self) -> Result<(), String> {
-        let widths = [
-            ("fetch_width", self.fetch_width),
-            ("taken_branches_per_cycle", self.taken_branches_per_cycle),
-            ("issue_width", self.issue_width),
-            ("retire_width", self.retire_width),
-            ("rob_entries", self.rob_entries),
-            ("iq_entries", self.iq_entries),
-            ("lq_entries", self.lq_entries),
-            ("sq_entries", self.sq_entries),
-        ];
-        for (name, v) in widths {
-            if v == Some(0) {
-                return Err(format!("core.{name} must be > 0"));
-            }
-        }
-        if self.frontend_depth == Some(0) {
-            return Err("core.frontend_depth must be >= 1".into());
-        }
-        for (name, v) in [("int_prf", self.int_prf), ("fp_prf", self.fp_prf)] {
-            if let Some(v) = v {
-                if v < 64 {
-                    return Err(format!("core.{name} must be >= 64 to cover architectural state"));
-                }
-            }
-        }
-        if let Some(v) = self.store_set_entries {
-            if !v.is_power_of_two() {
-                return Err("core.store_set_entries must be a power of two".into());
-            }
-        }
-        Ok(())
+        self.apply(CoreConfig::default()).validate().map_err(|e| format!("core.{e}"))
     }
 }
 
@@ -1180,7 +1151,7 @@ mod tests {
         // Non-overridden fields keep the Table 2 defaults.
         assert_eq!(core.iq_entries, CoreConfig::default().iq_entries);
         assert_eq!(core.seed, sc.settings.seed);
-        core.validate();
+        assert_eq!(core.validate(), Ok(()));
     }
 
     #[test]

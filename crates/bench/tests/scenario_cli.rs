@@ -205,6 +205,32 @@ fn simulate_scenario_file_is_byte_identical_to_flags() {
 }
 
 #[test]
+fn simulate_sampled_ipc_agrees_with_its_own_aggregate() {
+    // Equal-length intervals make the aggregate IPC exactly 1 / mean CPI;
+    // the mean of per-interval IPCs overshoots it on a phased workload.
+    let args = [
+        "milc",
+        "--predictor",
+        "vtage",
+        "--sample",
+        "--seed",
+        "8212",
+        "--warmup",
+        "50000",
+        "--measure",
+        "2000000",
+    ];
+    let out = stdout(&run(env!("CARGO_BIN_EXE_simulate"), &args));
+    let value = |prefix: &str| {
+        let line = out.lines().find(|l| l.starts_with(prefix)).unwrap_or_else(|| {
+            panic!("no {prefix:?} line in: {out}");
+        });
+        line[prefix.len()..].split_whitespace().next().unwrap().to_string()
+    };
+    assert_eq!(value("sampled IPC "), value("IPC "), "{out}");
+}
+
+#[test]
 fn paper_scenario_file_is_byte_identical_to_flags() {
     let file = TempScenario::new(
         "paper.vps",

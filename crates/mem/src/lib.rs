@@ -12,10 +12,9 @@
 //! The composed [`MemoryHierarchy`] exposes three timed operations —
 //! [`MemoryHierarchy::fetch_inst`], [`MemoryHierarchy::load`] and
 //! [`MemoryHierarchy::store`] — that map a `(address, cycle)` pair to the
-//! data-ready cycle. In-flight fills live on the shared event core
-//! (`vpsim-event`): each [`MshrFile`] is a watermark-gated event set, so
-//! a query cycle with nothing due costs a single comparison and idle
-//! state costs no work at all.
+//! data-ready cycle. Each [`MshrFile`] keeps its in-flight fills behind
+//! an earliest-completion watermark, so a query cycle with nothing due
+//! costs a single comparison and idle state costs no work at all.
 //!
 //! # Examples
 //!

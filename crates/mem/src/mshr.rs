@@ -5,25 +5,16 @@
 //! the first fill returns); when all MSHRs are busy a new miss must wait
 //! for the earliest completion.
 //!
-//! The file is an [`EventSet`] of in-flight fills: expiry is O(1) while no
-//! fill is due (the watermark equals the earliest completion), membership
-//! and merge queries walk the same small flat list the completions are
-//! scheduled in, and — unlike the `HashMap` this replaces — the steady
-//! state never rehashes or allocates.
-
-use vpsim_event::{EventSet, Timed};
+//! The file is a flat list of in-flight fills behind a `next_due`
+//! watermark: expiry is O(1) while no fill is due (the watermark equals
+//! the earliest completion), membership and merge queries walk the same
+//! small list, and the steady state never rehashes or allocates.
 
 /// One outstanding miss: the line being filled and its completion cycle.
 #[derive(Debug, Clone, Copy)]
 struct Miss {
     line: u64,
     ready: u64,
-}
-
-impl Timed for Miss {
-    fn due_at(&self) -> u64 {
-        self.ready
-    }
 }
 
 /// A finite file of miss status holding registers.
@@ -42,7 +33,9 @@ impl Timed for Miss {
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    outstanding: EventSet<Miss>,
+    outstanding: Vec<Miss>,
+    /// Earliest `ready` among `outstanding`; `u64::MAX` when empty.
+    next_due: u64,
 }
 
 impl MshrFile {
@@ -53,13 +46,25 @@ impl MshrFile {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
-        MshrFile { capacity, outstanding: EventSet::with_capacity(capacity) }
+        MshrFile { capacity, outstanding: Vec::with_capacity(capacity), next_due: u64::MAX }
     }
 
     /// Drop entries whose fill has completed by `now`. O(1) while the
-    /// earliest outstanding fill is still in the future.
+    /// earliest outstanding fill is still in the future; otherwise compacts
+    /// in place (order-preserving) and recomputes the watermark.
     pub fn expire(&mut self, now: u64) {
-        self.outstanding.expire(now);
+        if now < self.next_due {
+            return;
+        }
+        let mut min = u64::MAX;
+        self.outstanding.retain(|m| {
+            let live = m.ready > now;
+            if live {
+                min = min.min(m.ready);
+            }
+            live
+        });
+        self.next_due = min;
     }
 
     /// Fill cycle of an outstanding miss on `line_addr`, if any (merge).
@@ -75,7 +80,7 @@ impl MshrFile {
     /// The earliest completion among outstanding misses (when a full file
     /// frees up), or `None` if empty.
     pub fn earliest_completion(&self) -> Option<u64> {
-        self.outstanding.next_due()
+        (!self.outstanding.is_empty()).then_some(self.next_due)
     }
 
     /// Record a new outstanding miss completing at `fill_cycle`.
@@ -87,6 +92,7 @@ impl MshrFile {
     pub fn allocate(&mut self, line_addr: u64, fill_cycle: u64) {
         assert!(self.has_free(), "MSHR file full");
         assert!(self.lookup(line_addr).is_none(), "line already outstanding");
+        self.next_due = self.next_due.min(fill_cycle);
         self.outstanding.push(Miss { line: line_addr, ready: fill_cycle });
     }
 
@@ -127,6 +133,7 @@ mod tests {
         assert!(m.has_free());
         m.allocate(128, 30);
         assert_eq!(m.len(), 2);
+        assert_eq!(m.earliest_completion(), Some(20));
     }
 
     #[test]

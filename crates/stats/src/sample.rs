@@ -1,13 +1,16 @@
 //! Interval-sampling estimators: point estimate and confidence interval
-//! from per-interval IPC observations.
+//! from per-interval CPI observations.
 //!
 //! Sampled replay (`vpsim-uarch`'s sampling layer) measures K intervals of
-//! the trace in detail and treats their IPCs as observations of the
-//! workload's steady-state IPC. With systematic sampling the sample mean
-//! is an unbiased point estimate, and the usual small-sample (Student's t)
-//! half-width quantifies how far the truth plausibly lies from it —
-//! exactly what a sweep needs to decide whether two configurations differ
-//! by more than sampling noise.
+//! the trace in detail and treats their CPIs as observations of the
+//! workload's steady-state CPI. Every interval commits the same number of
+//! µops, so the mean CPI is exactly the aggregate CPI and the aggregate
+//! IPC is its reciprocal; the mean of per-interval IPCs is not (it
+//! overweights fast intervals). This is the SMARTS estimator (Wunderlich
+//! et al., ISCA 2003). With systematic sampling the sample mean is an
+//! unbiased point estimate, and the usual small-sample (Student's t)
+//! half-width quantifies how far the truth plausibly lies from it; an IPC
+//! interval is the reciprocal of the CPI interval's edges.
 
 use crate::mean;
 

@@ -229,18 +229,38 @@ impl CoreConfig {
             .saturating_add((crate::pipeline::FETCH_QUEUE + self.rob_entries) as u64)
     }
 
-    /// Validate invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any width or structure size is zero.
-    pub fn validate(&self) {
-        assert!(self.fetch_width > 0 && self.issue_width > 0 && self.retire_width > 0);
-        assert!(self.rob_entries > 0 && self.iq_entries > 0);
-        assert!(self.lq_entries > 0 && self.sq_entries > 0);
-        assert!(self.int_prf >= 64 && self.fp_prf >= 64, "PRF must cover architectural state");
-        assert!(self.store_set_entries.is_power_of_two());
-        assert!(self.frontend_depth >= 1);
+    /// Check the structural invariants and return the first violation,
+    /// naming the offending field: every width and structure size must be
+    /// non-zero, each physical register file must cover the architectural
+    /// state, and the store-set table must be a power of two.
+    /// [`Simulator::new`](crate::Simulator::new) panics with this message;
+    /// scenario loading reports it as an error.
+    pub fn validate(&self) -> Result<(), String> {
+        let sizes = [
+            ("fetch_width", self.fetch_width),
+            ("taken_branches_per_cycle", self.taken_branches_per_cycle),
+            ("issue_width", self.issue_width),
+            ("retire_width", self.retire_width),
+            ("rob_entries", self.rob_entries),
+            ("iq_entries", self.iq_entries),
+            ("lq_entries", self.lq_entries),
+            ("sq_entries", self.sq_entries),
+        ];
+        if let Some((name, _)) = sizes.iter().find(|(_, v)| *v == 0) {
+            return Err(format!("{name} must be > 0"));
+        }
+        if self.frontend_depth == 0 {
+            return Err("frontend_depth must be >= 1".into());
+        }
+        for (name, v) in [("int_prf", self.int_prf), ("fp_prf", self.fp_prf)] {
+            if v < 64 {
+                return Err(format!("{name} must be >= 64 to cover architectural state"));
+            }
+        }
+        if !self.store_set_entries.is_power_of_two() {
+            return Err("store_set_entries must be a power of two".into());
+        }
+        Ok(())
     }
 }
 
@@ -262,7 +282,7 @@ mod tests {
         assert_eq!(c.fu.alu_units, 8);
         assert_eq!(c.fu.div_latency, 25);
         assert!(c.vp.is_none());
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -285,10 +305,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "rob_entries must be > 0")]
     fn zero_rob_is_rejected() {
         let c = CoreConfig { rob_entries: 0, ..CoreConfig::default() };
-        c.validate();
+        crate::Simulator::new(c);
+    }
+
+    #[test]
+    fn zero_taken_branches_per_cycle_is_rejected() {
+        let c = CoreConfig { taken_branches_per_cycle: 0, ..CoreConfig::default() };
+        assert!(c.validate().unwrap_err().contains("taken_branches_per_cycle"));
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! the same idealization the paper applies.
 
 use crate::config::{CoreConfig, RecoveryPolicy};
-use crate::result::{diff_cache, RunResult, StallBreakdown};
+use crate::result::{RunResult, StallBreakdown};
 use crate::sampling::{Checkpoint, SampleConfig, SamplePlan, SampledResult, Warmer};
 use crate::storesets::StoreSets;
 use crate::tap::{
@@ -53,7 +53,6 @@ use vpsim_branch::{Btb, Ras, RasCheckpoint, Tage};
 use vpsim_core::{HistoryState, PredictCtx, Predictor};
 use vpsim_isa::{DynInst, Executor, FuClass, InstSource, Opcode, Program, RegClass, Trace};
 use vpsim_mem::MemoryHierarchy;
-use vpsim_stats::{BackToBackStats, BranchStats, RunMetrics, VpStats};
 
 /// Fetch-queue capacity (µops buffered between fetch and dispatch).
 /// Referenced by [`CoreConfig::trace_budget`]: together with the ROB size
@@ -66,59 +65,6 @@ const DEADLOCK_LIMIT: u64 = 1_000_000;
 /// Initial completion-wheel horizon; the wheel grows on demand when a
 /// memory access schedules further out.
 const WHEEL_HORIZON: usize = 1024;
-
-/// Retire-stage counters, diffed against a warm-up snapshot to produce a
-/// [`RunResult`]. All fields are plain integers, so the snapshot is a
-/// `Copy` assignment and measurement is a field-wise [`Counters::delta`] —
-/// no per-interval clone.
-#[derive(Debug, Clone, Copy, Default)]
-struct Counters {
-    committed: u64,
-    eligible: u64,
-    hits: u64,
-    used: u64,
-    correct_used: u64,
-    mispredicted: u64,
-    correct_unused: u64,
-    harmless: u64,
-    cond_branches: u64,
-    dir_mispred: u64,
-    target_mispred: u64,
-    uncond: u64,
-    b2b_eligible: u64,
-    b2b: u64,
-    vp_squashes: u64,
-    violations: u64,
-    reissued: u64,
-    stalls: StallBreakdown,
-}
-
-impl Counters {
-    /// Field-wise difference against an earlier snapshot of the same
-    /// accumulator.
-    fn delta(&self, s: &Counters) -> Counters {
-        Counters {
-            committed: self.committed - s.committed,
-            eligible: self.eligible - s.eligible,
-            hits: self.hits - s.hits,
-            used: self.used - s.used,
-            correct_used: self.correct_used - s.correct_used,
-            mispredicted: self.mispredicted - s.mispredicted,
-            correct_unused: self.correct_unused - s.correct_unused,
-            harmless: self.harmless - s.harmless,
-            cond_branches: self.cond_branches - s.cond_branches,
-            dir_mispred: self.dir_mispred - s.dir_mispred,
-            target_mispred: self.target_mispred - s.target_mispred,
-            uncond: self.uncond - s.uncond,
-            b2b_eligible: self.b2b_eligible - s.b2b_eligible,
-            b2b: self.b2b - s.b2b,
-            vp_squashes: self.vp_squashes - s.vp_squashes,
-            violations: self.violations - s.violations,
-            reissued: self.reissued - s.reissued,
-            stalls: self.stalls.diff(&s.stalls),
-        }
-    }
-}
 
 /// Render a schedule cycle for diagnostics (`-` = not yet scheduled).
 fn fmt_cycle(c: u64) -> String {
@@ -217,7 +163,7 @@ impl Simulator {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: CoreConfig) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("invalid core configuration: {e}"));
         Simulator { config }
     }
 
@@ -370,7 +316,7 @@ impl Simulator {
     /// measured region, fast-forwarding between them with the functional
     /// warmer. Returns one [`RunResult`] per replayed interval; combine
     /// with [`SampledResult::combined`] or feed
-    /// [`SampledResult::interval_ipcs`] to the `vpsim-stats` estimator.
+    /// [`SampledResult::interval_cpis`] to the `vpsim-stats` estimator.
     ///
     /// Every interval goes through a serialized [`Checkpoint`] and
     /// [`Trace::cursor_resume`] — the exact path a persisted checkpoint
@@ -542,7 +488,10 @@ struct Machine<'a, S, T: PipeEventSink> {
     int_prf_used: usize,
     fp_prf_used: usize,
     fu: FuPools,
-    counters: Counters,
+    /// Retire-stage counters since construction, incremented in place by
+    /// the stages. [`Machine::totals`] adds the clock and the cache
+    /// statistics, so a warm-up snapshot is one `Copy`.
+    counters: RunResult,
     last_commit_cycle: u64,
     /// Commit-count ceiling: the retire stage stops mid-group here so a
     /// measurement of N instructions is exactly N.
@@ -594,7 +543,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             int_prf_used: 0,
             fp_prf_used: 0,
             fu: FuPools::new(cfg),
-            counters: Counters::default(),
+            counters: RunResult::default(),
             last_commit_cycle: 0,
             stop_at: u64::MAX,
             ready_scratch: Vec::with_capacity(cfg.issue_width.max(16)),
@@ -619,20 +568,18 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
         // Retire pauses exactly at the warm-up boundary so the measurement
         // window is precisely `measure` instructions.
         self.stop_at = if warmup > 0 { warmup } else { target };
-        let mut snapshot = self.counters;
-        let mut snap_cycle = 0u64;
-        let mut snap_caches = (self.mem.l1i_stats, self.mem.l1d_stats, self.mem.l2_stats);
+        let mut snapshot = self.totals();
         let mut snapped = warmup == 0;
         let mut marked = false;
 
-        while self.counters.committed < target {
+        while self.counters.metrics.instructions < target {
             if self.w.is_empty() && self.refetch.is_empty() && self.source_done {
                 break;
             }
             self.idle_skip();
-            let committed_before = self.counters.committed;
+            let committed_before = self.counters.metrics.instructions;
             self.commit();
-            let idle = self.counters.committed == committed_before;
+            let idle = self.counters.metrics.instructions == committed_before;
             if idle {
                 self.counters.stalls.commit_idle_cycles += 1;
             }
@@ -641,19 +588,17 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             // pair 1:1 with clock movement (the conservation invariant).
             let cycle_cause =
                 if T::ENABLED && idle { self.stall_cause() } else { CycleCause::Active };
-            if !marked && self.counters.committed >= mark_at {
+            if !marked && self.counters.metrics.instructions >= mark_at {
                 mark();
                 marked = true;
             }
-            if !snapped && self.counters.committed >= warmup {
-                snapshot = self.counters;
-                snap_cycle = self.now;
-                snap_caches = (self.mem.l1i_stats, self.mem.l1d_stats, self.mem.l2_stats);
+            if !snapped && self.counters.metrics.instructions >= warmup {
+                snapshot = self.totals();
                 snapped = true;
                 self.stop_at = target;
                 self.emit(0, PipeEventKind::MeasureStart);
             }
-            if self.counters.committed >= target {
+            if self.counters.metrics.instructions >= target {
                 break;
             }
             self.complete();
@@ -670,36 +615,18 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             }
         }
 
-        let d = self.counters.delta(&snapshot);
-        RunResult {
-            metrics: RunMetrics {
-                cycles: self.now.saturating_sub(snap_cycle),
-                instructions: d.committed,
-            },
-            vp: VpStats {
-                eligible: d.eligible,
-                hits: d.hits,
-                used: d.used,
-                correct_used: d.correct_used,
-                mispredicted: d.mispredicted,
-                correct_unused: d.correct_unused,
-                harmless_mispredictions: d.harmless,
-            },
-            branch: BranchStats {
-                conditional: d.cond_branches,
-                direction_mispredictions: d.dir_mispred,
-                target_mispredictions: d.target_mispred,
-                unconditional: d.uncond,
-            },
-            l1i: diff_cache(&self.mem.l1i_stats, &snap_caches.0),
-            l1d: diff_cache(&self.mem.l1d_stats, &snap_caches.1),
-            l2: diff_cache(&self.mem.l2_stats, &snap_caches.2),
-            back_to_back: BackToBackStats { eligible: d.b2b_eligible, back_to_back: d.b2b },
-            vp_squashes: d.vp_squashes,
-            reissued_uops: d.reissued,
-            memory_order_violations: d.violations,
-            stalls: d.stalls,
-        }
+        self.totals().since(&snapshot)
+    }
+
+    /// Everything counted since construction: the stage counters plus the
+    /// clock and the memory hierarchy's cache statistics.
+    fn totals(&self) -> RunResult {
+        let mut totals = self.counters;
+        totals.metrics.cycles = self.now;
+        totals.l1i = self.mem.l1i_stats;
+        totals.l1d = self.mem.l1d_stats;
+        totals.l2 = self.mem.l2_stats;
+        totals
     }
 
     /// Diagnostic for the [`DEADLOCK_LIMIT`] panic: a deadlock is a model
@@ -733,7 +660,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
              occupancy: rob {}/{}, iq {}/{}, lq {}/{}, sq {}/{}, fetch-queue {}/{FETCH_QUEUE}, \
              window slab {}/{} (free {}), refetch {}; fetch blocked on {:?}",
             self.now,
-            self.counters.committed,
+            self.counters.metrics.instructions,
             self.last_commit_cycle,
             self.rob_used,
             self.cfg.rob_entries,
@@ -929,7 +856,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
 
     fn commit(&mut self) {
         for slot in 0..self.cfg.retire_width {
-            if self.counters.committed >= self.stop_at {
+            if self.counters.metrics.instructions >= self.stop_at {
                 break;
             }
             let Some(front) = self.w.front() else { break };
@@ -972,42 +899,42 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
                 if let Some(p) = self.predictor.as_mut() {
                     p.train(seq, self.w.di[i].result.expect("eligible µop has a result"));
                 }
-                self.counters.eligible += 1;
+                self.counters.vp.eligible += 1;
                 if self.w.flag(idx, flag::PRED_HIT) {
-                    self.counters.hits += 1;
+                    self.counters.vp.hits += 1;
                 }
                 if self.w.predicted[i].is_some() {
-                    self.counters.used += 1;
+                    self.counters.vp.used += 1;
                     if self.w.flag(idx, flag::PRED_WRONG) {
-                        self.counters.mispredicted += 1;
+                        self.counters.vp.mispredicted += 1;
                         if !self.w.flag(idx, flag::PRED_CONSUMER_ISSUED) {
-                            self.counters.harmless += 1;
+                            self.counters.vp.harmless_mispredictions += 1;
                         }
                     } else {
-                        self.counters.correct_used += 1;
+                        self.counters.vp.correct_used += 1;
                     }
                 } else if self.w.flag(idx, flag::PRED_CORRECT_UNUSED) {
-                    self.counters.correct_unused += 1;
+                    self.counters.vp.correct_unused += 1;
                 }
             }
             // Train the branch predictors.
             let op = self.w.di[i].inst.op;
             if op.is_cond_branch() {
                 self.tage.train(seq, self.w.di[i].taken);
-                self.counters.cond_branches += 1;
+                self.counters.branch.conditional += 1;
                 if self.w.flag(idx, flag::BR_MISPRED) {
-                    self.counters.dir_mispred += 1;
+                    self.counters.branch.direction_mispredictions += 1;
                 }
             } else if op.is_control() {
-                self.counters.uncond += 1;
+                self.counters.branch.unconditional += 1;
                 if op == Opcode::JumpInd {
                     self.btb.update(self.w.di[i].pc, self.w.di[i].next_pc);
                 }
                 if self.w.flag(idx, flag::BR_MISPRED) {
-                    self.counters.target_mispred += 1;
+                    self.counters.branch.target_mispredictions += 1;
                 }
             }
-            self.counters.committed += 1;
+            self.counters.metrics.instructions += 1;
             self.emit(seq, PipeEventKind::Commit { slot: slot as u16 });
             // Value-misprediction squash at commit.
             let squash = self.w.flag(idx, flag::VP_SQUASH_AT_COMMIT);
@@ -1089,7 +1016,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
                 self.store_sets.store_executed(seq, self.w.lfst_slot[i]);
                 let addr = self.w.di[i].mem_addr;
                 if let Some(violating_load) = self.find_violating_load(seq, addr) {
-                    self.counters.violations += 1;
+                    self.counters.memory_order_violations += 1;
                     let store_pc = self.w.di[i].pc;
                     let load_idx = self.w.idx_of(violating_load).expect("load in window");
                     let load_pc = self.w.di[load_idx as usize].pc;
@@ -1176,7 +1103,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             self.w.complete_at[ci] = UNSCHEDULED;
             self.w.poison_clear(c);
             self.w.ready_set(self.w.di[ci].seq);
-            self.counters.reissued += 1;
+            self.counters.reissued_uops += 1;
             self.emit(self.w.di[ci].seq, PipeEventKind::Reissue);
         }
         list.clear();
@@ -1617,9 +1544,9 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             }
             if di.vp_eligible() {
                 self.w.set_flag(idx, flag::ELIGIBLE);
-                self.counters.b2b_eligible += 1;
+                self.counters.back_to_back.eligible += 1;
                 if self.b2b.fetched(pc, self.now) {
-                    self.counters.b2b += 1;
+                    self.counters.back_to_back.back_to_back += 1;
                 }
                 if let Some(p) = self.predictor.as_mut() {
                     let ctx = PredictCtx { seq, pc, hist: pre_hist, actual: di.result };

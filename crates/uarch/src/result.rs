@@ -45,20 +45,6 @@ impl StallBreakdown {
             + self.dispatch_sq_cycles
             + self.dispatch_prf_cycles
     }
-
-    pub(crate) fn diff(&self, before: &StallBreakdown) -> StallBreakdown {
-        StallBreakdown {
-            fetch_branch_cycles: self.fetch_branch_cycles - before.fetch_branch_cycles,
-            fetch_redirect_cycles: self.fetch_redirect_cycles - before.fetch_redirect_cycles,
-            fetch_queue_full_cycles: self.fetch_queue_full_cycles - before.fetch_queue_full_cycles,
-            dispatch_rob_cycles: self.dispatch_rob_cycles - before.dispatch_rob_cycles,
-            dispatch_iq_cycles: self.dispatch_iq_cycles - before.dispatch_iq_cycles,
-            dispatch_lq_cycles: self.dispatch_lq_cycles - before.dispatch_lq_cycles,
-            dispatch_sq_cycles: self.dispatch_sq_cycles - before.dispatch_sq_cycles,
-            dispatch_prf_cycles: self.dispatch_prf_cycles - before.dispatch_prf_cycles,
-            commit_idle_cycles: self.commit_idle_cycles - before.commit_idle_cycles,
-        }
-    }
 }
 
 /// Everything a simulation run reports.
@@ -163,9 +149,22 @@ impl RunResult {
         }
     }
 
+    /// Subtract every counter of an earlier snapshot of the same machine —
+    /// the measured window is `totals().since(&warm_up_snapshot)`.
+    pub(crate) fn since(&self, earlier: &RunResult) -> RunResult {
+        let mut before = *earlier;
+        let values = before.field_slots().map(|slot| *slot);
+        let mut delta = *self;
+        for (dst, v) in delta.field_slots().into_iter().zip(values) {
+            *dst -= v;
+        }
+        delta
+    }
+
     /// Mutable references to every counter, in the same fixed order as
     /// [`RunResult::field_values`] — the single source of truth for the
-    /// wire layout, so the two can never drift apart.
+    /// wire layout, [`RunResult::accumulate`] and [`RunResult::since`], so
+    /// adding a counter touches one list.
     fn field_slots(&mut self) -> [&mut u64; N_FIELDS] {
         [
             &mut self.metrics.cycles,
@@ -218,29 +217,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |hash, &b| (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3))
 }
 
-pub(crate) fn diff_cache(after: &CacheStats, before: &CacheStats) -> CacheStats {
-    CacheStats {
-        accesses: after.accesses - before.accesses,
-        misses: after.misses - before.misses,
-        prefetches: after.prefetches - before.prefetches,
-        useful_prefetches: after.useful_prefetches - before.useful_prefetches,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn diff_cache_subtracts_fieldwise() {
-        let before = CacheStats { accesses: 10, misses: 2, prefetches: 1, useful_prefetches: 0 };
-        let after = CacheStats { accesses: 30, misses: 7, prefetches: 5, useful_prefetches: 3 };
-        let d = diff_cache(&after, &before);
-        assert_eq!(d.accesses, 20);
-        assert_eq!(d.misses, 5);
-        assert_eq!(d.prefetches, 4);
-        assert_eq!(d.useful_prefetches, 3);
-    }
 
     #[test]
     fn default_result_is_zeroed() {
@@ -257,6 +236,19 @@ mod tests {
             *slot = 1_000_003u64.wrapping_mul(i as u64 + 1);
         }
         r
+    }
+
+    #[test]
+    fn since_undoes_accumulate() {
+        let a = distinct_result();
+        let mut b = RunResult::default();
+        for (i, slot) in b.field_slots().into_iter().enumerate() {
+            *slot = 7 * i as u64 + 3;
+        }
+        let mut sum = a;
+        sum.accumulate(&b);
+        assert_eq!(sum.since(&a), b);
+        assert_eq!(a.since(&a), RunResult::default());
     }
 
     #[test]

@@ -62,14 +62,17 @@ impl Default for SampleConfig {
 }
 
 impl SampleConfig {
-    /// Check the knobs are usable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `intervals` or `period` is zero.
-    pub fn validate(&self) {
-        assert!(self.intervals > 0, "sample.intervals must be positive");
-        assert!(self.period > 0, "sample.period must be positive");
+    /// Check the knobs are usable and return the first violation: a zero
+    /// interval count or period selects nothing. A sampled run panics with
+    /// this message; scenario loading reports it as an error.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.intervals == 0 {
+            return Err("sample.intervals must be > 0 (intervals replayed in detail)".into());
+        }
+        if self.period == 0 {
+            return Err("sample.period must be > 0 (interval length in µops)".into());
+        }
+        Ok(())
     }
 }
 
@@ -95,7 +98,7 @@ impl SamplePlan {
     /// stride `N / K` starting from offset `seed % stride`. The same
     /// (settings, seed) always selects the same intervals.
     pub(crate) fn new(warmup: u64, measure: u64, sample: SampleConfig, seed: u64) -> SamplePlan {
-        sample.validate();
+        sample.validate().unwrap_or_else(|e| panic!("{e}"));
         let period = sample.period.min(measure.max(1));
         let num_intervals = (measure / period).max(1);
         let k = sample.intervals.min(num_intervals);
@@ -365,10 +368,12 @@ impl SampledResult {
         total
     }
 
-    /// Per-interval IPC observations, in trace order — the input to the
-    /// `vpsim-stats` confidence-interval estimator.
-    pub fn interval_ipcs(&self) -> Vec<f64> {
-        self.per_interval.iter().map(|r| r.metrics.ipc()).collect()
+    /// Per-interval CPI observations, in trace order — the input to the
+    /// `vpsim-stats` confidence-interval estimator. Every interval commits
+    /// the same number of µops, so the combined IPC is exactly one over
+    /// their mean: estimate CPI, then report IPC as its reciprocal.
+    pub fn interval_cpis(&self) -> Vec<f64> {
+        self.per_interval.iter().map(|r| r.metrics.cpi()).collect()
     }
 }
 

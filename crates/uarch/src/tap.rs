@@ -27,8 +27,8 @@
 //! # Differential witness
 //!
 //! The tap double-books quantities the pipeline already counts
-//! independently in its private `Counters`. [`check_conservation`] asserts
-//! the two bookkeepers agree exactly — total attributed cycles equal
+//! independently in the [`RunResult`] it returns. [`check_conservation`]
+//! asserts the two bookkeepers agree exactly — total attributed cycles equal
 //! measured cycles, stall attributions equal commit-idle cycles, commits /
 //! squashes / reissues match — which turns the tap into a second,
 //! independent witness of the timing model. See `tests/tap_equivalence.rs`

@@ -37,11 +37,11 @@
 //!   the whole ROB-order ring. Entries join at dispatch and leave at
 //!   [`Window::release`] (commit or squash), mirroring the LQ/SQ held
 //!   flags.
-//! * [`CompletionWheel`] — completion events bucketed by cycle on the
-//!   shared [`vpsim_event::TimingWheel`] (the wheel grows to the largest
-//!   in-flight latency), replacing the every-cycle full-window completion
-//!   scan. Events carry `(cycle, slab index, generation)` and are dropped
-//!   lazily when the slot was squashed or reissued.
+//! * [`CompletionWheel`] — completion events bucketed by cycle in a
+//!   power-of-two ring that grows to the largest in-flight latency,
+//!   replacing the every-cycle full-window completion scan. Events carry
+//!   `(cycle, slab index, generation)` and are dropped lazily when the
+//!   slot was squashed or reissued.
 //! * [`FetchB2b`] — the §3.2 back-to-back fetch statistic over a two-cycle
 //!   PC ring. The previous `HashMap<pc, cycle>` grew without bound on
 //!   endless workloads; only the previous cycle's fetch group can ever
@@ -50,7 +50,6 @@
 use std::collections::VecDeque;
 use vpsim_branch::RasCheckpoint;
 use vpsim_core::HistoryState;
-use vpsim_event::{Timed, TimingWheel};
 use vpsim_isa::{DynInst, FuClass, Opcode, RegClass};
 
 /// Sentinel for "not yet scheduled" cycles.
@@ -631,21 +630,110 @@ impl Window {
     }
 }
 
-impl Timed for Event {
-    fn due_at(&self) -> u64 {
-        self.at
-    }
+/// Completion events bucketed by cycle — a timing wheel.
+///
+/// The wheel grows to the largest in-flight latency (power of two), so a
+/// bucket only ever holds events for one cycle. Events due at or before
+/// the current cycle land in the `carry` list and are processed next cycle
+/// (matching the old per-cycle scan, which a same-cycle issue could never
+/// reach), and [`CompletionWheel::defer`] re-queues events postponed when
+/// a memory-order squash aborts the completion stage mid-pass.
+///
+/// The hot methods are `#[inline]`: `Machine` is generic, so the
+/// replay loop is compiled in the calling crate, and without the attribute
+/// these would be cross-crate calls on the per-cycle path.
+#[derive(Debug)]
+pub(crate) struct CompletionWheel {
+    buckets: Vec<Vec<Event>>,
+    carry: Vec<Event>,
+    due: Vec<Event>,
 }
 
-/// Completion events bucketed by cycle — the shared [`TimingWheel`] from
-/// `vpsim-event`, instantiated over pipeline [`Event`]s.
-///
-/// The wheel grows to the largest in-flight latency; events due at or
-/// before the current cycle land in its carry list and are processed next
-/// cycle (matching the old per-cycle scan, which a same-cycle issue could
-/// never reach), and `defer` re-queues events postponed when a
-/// memory-order squash aborts the completion stage mid-pass.
-pub(crate) type CompletionWheel = TimingWheel<Event>;
+impl CompletionWheel {
+    /// A wheel with an initial horizon of `horizon` cycles (rounded up to
+    /// a power of two; grows on demand).
+    pub fn new(horizon: usize) -> Self {
+        let n = horizon.next_power_of_two().max(64);
+        CompletionWheel { buckets: vec![Vec::new(); n], carry: Vec::new(), due: Vec::new() }
+    }
+
+    /// Schedule `ev` for cycle `ev.at`; events due at or before `now` land
+    /// in the carry list and are processed next cycle (a same-cycle
+    /// completion is never visible to the cycle that issued it).
+    #[inline]
+    pub fn schedule(&mut self, now: u64, ev: Event) {
+        if ev.at <= now {
+            self.carry.push(ev);
+            return;
+        }
+        let dist = (ev.at - now) as usize;
+        if dist >= self.buckets.len() {
+            self.grow(now, dist);
+        }
+        let slot = (ev.at as usize) & (self.buckets.len() - 1);
+        self.buckets[slot].push(ev);
+    }
+
+    fn grow(&mut self, now: u64, dist: usize) {
+        let new_len = (dist + 1).next_power_of_two();
+        let mut buckets = vec![Vec::new(); new_len];
+        for old in &mut self.buckets {
+            for ev in old.drain(..) {
+                debug_assert!(ev.at > now);
+                buckets[(ev.at as usize) & (new_len - 1)].push(ev);
+            }
+        }
+        self.buckets = buckets;
+    }
+
+    /// Drain everything due at `now` (this cycle's bucket plus the carry
+    /// list) into the reusable due buffer and hand it out by value; return
+    /// it with [`CompletionWheel::recycle`] to keep its capacity.
+    #[inline]
+    pub fn take_due(&mut self, now: u64) -> Vec<Event> {
+        self.due.clear();
+        let slot = (now as usize) & (self.buckets.len() - 1);
+        for ev in self.buckets[slot].drain(..) {
+            debug_assert_eq!(ev.at, now, "wheel lap: event outlived its bucket");
+            self.due.push(ev);
+        }
+        self.due.append(&mut self.carry);
+        std::mem::take(&mut self.due)
+    }
+
+    /// Return the buffer [`CompletionWheel::take_due`] handed out, so its
+    /// capacity is reused next cycle (zero-allocation steady state).
+    #[inline]
+    pub fn recycle(&mut self, due: Vec<Event>) {
+        self.due = due;
+    }
+
+    /// Defer a due event to the next cycle (the consumer aborted its drain
+    /// pass before reaching it).
+    #[inline]
+    pub fn defer(&mut self, ev: Event) {
+        self.carry.push(ev);
+    }
+
+    /// The earliest cycle `>= now` at which [`CompletionWheel::take_due`]
+    /// would return anything, or `None` when the wheel is empty. Carried
+    /// events surface at the next drain, so a non-empty carry list reports
+    /// `now` itself. Every scheduled event lies within one lap of `now`
+    /// (the wheel grows at schedule time), so the first non-empty bucket
+    /// in a forward ring scan is exact, and the scan costs at most the
+    /// distance to the next event — the consumer's license to fast-forward
+    /// idle cycles instead of draining empty buckets one by one.
+    #[inline]
+    pub fn next_due_at_or_after(&self, now: u64) -> Option<u64> {
+        if !self.carry.is_empty() {
+            return Some(now);
+        }
+        let len = self.buckets.len();
+        (0..len as u64)
+            .find(|&k| !self.buckets[(now.wrapping_add(k) as usize) & (len - 1)].is_empty())
+            .map(|k| now + k)
+    }
+}
 
 /// Back-to-back fetch detection (§3.2) over a two-cycle PC ring.
 ///
@@ -874,6 +962,34 @@ mod tests {
         // Deferred events resurface next cycle.
         wh.defer(Event { at: 1000, idx: 9, gen: 0 });
         assert_eq!(wh.take_due(1001).len(), 1);
+    }
+
+    #[test]
+    fn wheel_reports_the_next_due_cycle_exactly() {
+        let mut wh = CompletionWheel::new(8);
+        assert_eq!(wh.next_due_at_or_after(0), None, "empty wheel has nothing due");
+        wh.schedule(10, Event { at: 17, idx: 1, gen: 0 });
+        wh.schedule(10, Event { at: 300, idx: 2, gen: 0 });
+        assert_eq!(wh.next_due_at_or_after(11), Some(17));
+        assert_eq!(wh.next_due_at_or_after(17), Some(17), "due now is reported as now");
+        assert_eq!(wh.take_due(17).len(), 1);
+        assert_eq!(wh.next_due_at_or_after(18), Some(300), "scan crosses the grown ring");
+        // A deferred event is due at the very next drain.
+        wh.defer(Event { at: 17, idx: 3, gen: 0 });
+        assert_eq!(wh.next_due_at_or_after(18), Some(18));
+    }
+
+    #[test]
+    fn wheel_recycled_buffer_keeps_capacity() {
+        let mut wh = CompletionWheel::new(8);
+        for idx in 0..32 {
+            wh.schedule(0, Event { at: 5, idx, gen: 0 });
+        }
+        let due = wh.take_due(5);
+        assert_eq!(due.len(), 32);
+        let cap = due.capacity();
+        wh.recycle(due);
+        assert!(wh.take_due(6).capacity() >= cap, "recycled buffer lost its capacity");
     }
 
     #[test]

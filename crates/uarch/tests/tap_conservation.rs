@@ -1,7 +1,7 @@
 //! Conservation laws of the pipeline event tap, end to end.
 //!
 //! The tap's value rests on one invariant: its derived statistics
-//! reconcile **exactly** with the simulator's own `Counters`-backed
+//! reconcile **exactly** with the simulator's own counters in its
 //! [`RunResult`] — every measured cycle is attributed to exactly one
 //! cause, commit events match retired instructions, and squash/reissue
 //! events match their counters. `vpsim_uarch::tap::check_conservation`

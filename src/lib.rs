@@ -12,9 +12,6 @@
 //! * [`core`] (`vpsim-core`) — the value predictors and confidence schemes
 //!   (the paper's contribution): LVP, 2-delta stride, per-path stride,
 //!   order-4 FCM, D-FCM, VTAGE, hybrids, gDiff, and the FPC scheme.
-//! * [`event`] (`vpsim-event`) — the shared discrete-event core: the
-//!   timing wheel the pipeline's completion stage drains and the
-//!   watermark-gated sparse event sets the MSHR files schedule fills on.
 //! * [`isa`] (`vpsim-isa`) — the µop ISA, program builder and functional
 //!   executor that produce dynamic instruction traces, plus the
 //!   capture-once/replay-many trace layer (`Trace`, `TraceCursor`, the
@@ -67,7 +64,6 @@
 pub use vpsim_bench as bench;
 pub use vpsim_branch as branch;
 pub use vpsim_core as core;
-pub use vpsim_event as event;
 pub use vpsim_isa as isa;
 pub use vpsim_mem as mem;
 pub use vpsim_serve as serve;

@@ -8,8 +8,8 @@
 //!
 //! Every tapped run is additionally conservation-checked: the per-cause
 //! cycle attribution must sum exactly to the measured cycle count, and the
-//! tap's event counts must reconcile with the simulator's own `Counters`
-//! (see `vpsim::uarch::tap::check_conservation`).
+//! tap's event counts must reconcile with the simulator's own counters in
+//! its `RunResult` (see `vpsim::uarch::tap::check_conservation`).
 
 use proptest::prelude::*;
 use vpsim::core::PredictorKind;
