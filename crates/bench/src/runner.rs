@@ -129,7 +129,7 @@ impl RunSettings {
         config: CoreConfig,
         sink: &mut T,
     ) -> RunResult {
-        Simulator::new(config).run_trace_with_sink(trace, self.warmup, self.measure, sink)
+        Simulator::new(config).replay(trace.cursor(), self.warmup, self.measure, sink)
     }
 
     /// Sampled replay with full per-interval visibility: the
@@ -169,6 +169,7 @@ mod tests {
     use super::*;
     use crate::sweep::{SchemeChoice, SweepSpec};
     use vpsim_core::PredictorKind;
+    use vpsim_isa::Executor;
     use vpsim_uarch::tap::NullSink;
     use vpsim_uarch::{RecoveryPolicy, VpConfig};
     use vpsim_workloads::benchmark;
@@ -197,8 +198,13 @@ mod tests {
         let s = tiny();
         let b = benchmark("gzip").unwrap();
         let trace = s.capture(&b, s.trace_budget(&s.core()));
-        let inline =
-            Simulator::new(s.core()).run_with_warmup(&(b.build)(&s.params()), s.warmup, s.measure);
+        let program = (b.build)(&s.params());
+        let inline = Simulator::new(s.core()).replay(
+            Executor::new(&program),
+            s.warmup,
+            s.measure,
+            &mut NullSink,
+        );
         assert_eq!(s.run_trace_with_sink(&trace, s.core(), &mut NullSink), inline);
     }
 

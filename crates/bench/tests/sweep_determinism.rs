@@ -4,6 +4,8 @@
 use vpsim_bench::sweep::{SchemeChoice, SweepSpec};
 use vpsim_bench::RunSettings;
 use vpsim_core::PredictorKind;
+use vpsim_isa::Executor;
+use vpsim_uarch::tap::NullSink;
 use vpsim_uarch::{RecoveryPolicy, Simulator};
 use vpsim_workloads::benchmark;
 
@@ -50,7 +52,8 @@ fn engine_results_match_direct_simulator_runs() {
     // benchmark (the functional executor streaming into the core).
     let s = spec.settings;
     let by_hand = |bench: &vpsim_workloads::Benchmark, config| {
-        Simulator::new(config).run_with_warmup(&(bench.build)(&s.params()), s.warmup, s.measure)
+        let program = (bench.build)(&s.params());
+        Simulator::new(config).replay(Executor::new(&program), s.warmup, s.measure, &mut NullSink)
     };
     assert_eq!(results.baseline.rows[0].1, by_hand(&spec.benches[0], s.core()));
     // And the first grid point must match its by-hand configuration.

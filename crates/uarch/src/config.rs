@@ -205,7 +205,7 @@ impl CoreConfig {
 
     /// How many functionally-executed µops a captured
     /// [`Trace`](vpsim_isa::Trace) must cover for
-    /// [`Simulator::run_trace`](crate::Simulator::run_trace) to be
+    /// [`Simulator::replay`](crate::Simulator::replay) to be
     /// byte-identical to inline execution of `warmup + measure` committed
     /// instructions on this core.
     ///

@@ -13,30 +13,32 @@
 //! validation/training at commit, and either of the paper's two recovery
 //! schemes ([`RecoveryPolicy`]).
 //!
-//! The core is driven through `vpsim-isa`'s `InstSource` abstraction:
-//! [`Simulator::run`]/[`Simulator::run_with_warmup`] stream the functional
-//! executor inline, while [`Simulator::run_trace`] replays a pre-captured
-//! `Trace` — byte-identical results, no functional re-execution (see
-//! "Trace layer" in `ARCHITECTURE.md`). [`CoreConfig::trace_budget`] gives
-//! the capture length that makes replay exact.
+//! The core has one detailed entry point, [`Simulator::replay`], which
+//! runs any `vpsim-isa` `InstSource` over a warm-up and a measured window:
+//! a pre-captured `Trace`'s cursor (no functional re-execution, see
+//! "Trace layer" in `ARCHITECTURE.md`) or the functional `Executor`
+//! inline, with byte-identical results. [`CoreConfig::trace_budget`] gives
+//! the capture length that makes replay exact. [`Simulator::run_sampled`]
+//! estimates a long window from checkpointed intervals ([`sampling`]).
 //!
 //! The crate also hosts the paper's two analytic models:
 //! [`penalty::PenaltyModel`] (§3.1 recovery-cost arithmetic) and
 //! [`regfile`] (§4 register-file port cost).
 //!
 //! For per-cycle observability the pipeline carries an opt-in event tap
-//! ([`tap`]): [`Simulator::run_source_with_sink`] streams typed pipeline
-//! events into a [`tap::PipeEventSink`] (stall attribution via
-//! [`tap::StallTally`], a bounded cycle log via [`tap::CycleLog`]), while
-//! the default [`tap::NullSink`] keeps the tap compiled out of the ordinary
-//! entry points — see "Observability internals" in `ARCHITECTURE.md`.
+//! ([`tap`]): [`Simulator::replay`] streams typed pipeline events into its
+//! [`tap::PipeEventSink`] (stall attribution via [`tap::StallTally`], a
+//! bounded cycle log via [`tap::CycleLog`]), while [`tap::NullSink`]
+//! compiles the tap out — see "Observability internals" in
+//! `ARCHITECTURE.md`.
 //!
 //! # Examples
 //!
 //! ```
+//! use vpsim_uarch::tap::NullSink;
 //! use vpsim_uarch::{CoreConfig, Simulator, VpConfig, RecoveryPolicy};
 //! use vpsim_core::PredictorKind;
-//! use vpsim_isa::{ProgramBuilder, Reg};
+//! use vpsim_isa::{Executor, ProgramBuilder, Reg};
 //!
 //! let mut b = ProgramBuilder::new();
 //! let (i, n) = (Reg::int(1), Reg::int(2));
@@ -47,12 +49,14 @@
 //! b.halt();
 //! let program = b.build()?;
 //!
-//! let base = Simulator::new(CoreConfig::default()).run(&program, 10_000);
-//! let vp = Simulator::new(
+//! let run = |config| {
+//!     Simulator::new(config).replay(Executor::new(&program), 0, 10_000, &mut NullSink)
+//! };
+//! let base = run(CoreConfig::default());
+//! let vp = run(
 //!     CoreConfig::default()
 //!         .with_vp(VpConfig::enabled(PredictorKind::VtageStride, RecoveryPolicy::SquashAtCommit)),
-//! )
-//! .run(&program, 10_000);
+//! );
 //! assert!(vp.metrics.ipc() >= base.metrics.ipc() * 0.95);
 //! # Ok::<(), vpsim_isa::ProgramError>(())
 //! ```

@@ -51,7 +51,7 @@ use crate::window::{flag, CompletionWheel, Event, FetchB2b, Stage, Waiter, Windo
 use std::collections::VecDeque;
 use vpsim_branch::{Btb, Ras, RasCheckpoint, Tage};
 use vpsim_core::{HistoryState, PredictCtx, Predictor};
-use vpsim_isa::{DynInst, Executor, FuClass, InstSource, Opcode, Program, RegClass, Trace};
+use vpsim_isa::{DynInst, FuClass, InstSource, Opcode, RegClass, Trace};
 use vpsim_mem::MemoryHierarchy;
 
 /// Fetch-queue capacity (µops buffered between fetch and dispatch).
@@ -130,27 +130,9 @@ struct Pick {
     spec_len: u32,
 }
 
-/// The simulator: construct once from a [`CoreConfig`], then run programs.
-///
-/// # Examples
-///
-/// ```
-/// use vpsim_uarch::{CoreConfig, Simulator};
-/// use vpsim_isa::{ProgramBuilder, Reg};
-///
-/// let mut b = ProgramBuilder::new();
-/// let (i, n) = (Reg::int(1), Reg::int(2));
-/// b.load_imm(n, 1000);
-/// let top = b.bind_label();
-/// b.addi(i, i, 1);
-/// b.blt(i, n, top);
-/// b.halt();
-/// let program = b.build()?;
-///
-/// let result = Simulator::new(CoreConfig::default()).run(&program, 100_000);
-/// assert!(result.metrics.ipc() > 0.5);
-/// # Ok::<(), vpsim_isa::ProgramError>(())
-/// ```
+/// The simulator: construct once from a [`CoreConfig`], then replay
+/// instruction sources through it with [`Simulator::replay`], or sample
+/// a long trace with [`Simulator::run_sampled`].
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: CoreConfig,
@@ -172,32 +154,27 @@ impl Simulator {
         &self.config
     }
 
-    /// Run `program` until `max_instructions` commit (or the program ends).
-    pub fn run(&self, program: &Program, max_instructions: u64) -> RunResult {
-        self.run_with_warmup(program, 0, max_instructions)
-    }
-
-    /// Run with a warm-up: simulate `warmup` committed instructions with
-    /// statistics discarded, then measure the next `measure` instructions.
+    /// Run the core over `source`: simulate `warmup` committed µops with
+    /// statistics discarded, then measure the next `measure` (fewer if the
+    /// source ends first).
     ///
-    /// This is the streaming path: the functional [`Executor`] runs inline,
-    /// one µop ahead of fetch. [`Simulator::run_trace`] produces the same
-    /// result from a pre-captured trace without re-executing.
-    pub fn run_with_warmup(&self, program: &Program, warmup: u64, measure: u64) -> RunResult {
-        self.run_source(Executor::new(program), warmup, measure)
-    }
-
-    /// Replay a captured [`Trace`] instead of executing inline. The result
-    /// is byte-identical to [`Simulator::run_with_warmup`] on the same
-    /// program provided the trace covers at least
-    /// [`CoreConfig::trace_budget`]`(warmup, measure)` µops (or the whole
-    /// program, if it is shorter).
+    /// The source is either a captured trace's [`Trace::cursor`] or the
+    /// functional [`Executor`](vpsim_isa::Executor) running inline, one µop
+    /// ahead of fetch. Both give byte-identical results provided the trace
+    /// covers at least [`CoreConfig::trace_budget`]`(warmup, measure)` µops
+    /// (or the whole program, if it is shorter).
+    ///
+    /// `sink` receives typed pipeline events (see [`crate::tap`]); pass
+    /// [`NullSink`] to compile the tap out. The simulated machine is
+    /// unaffected: the result is byte-identical whatever the sink
+    /// (`tests/tap_equivalence.rs` proves this for arbitrary scenarios).
     ///
     /// # Examples
     ///
     /// ```
+    /// use vpsim_uarch::tap::{check_conservation, NullSink, StallTally};
     /// use vpsim_uarch::{CoreConfig, Simulator};
-    /// use vpsim_isa::{ProgramBuilder, Reg, Trace};
+    /// use vpsim_isa::{Executor, ProgramBuilder, Reg, Trace};
     ///
     /// let mut b = ProgramBuilder::new();
     /// let (i, n) = (Reg::int(1), Reg::int(2));
@@ -210,105 +187,25 @@ impl Simulator {
     ///
     /// let sim = Simulator::new(CoreConfig::default());
     /// let trace = Trace::capture(&program, sim.config().trace_budget(0, 2_000));
-    /// assert_eq!(sim.run_trace(&trace, 0, 2_000), sim.run(&program, 2_000));
-    /// # Ok::<(), vpsim_isa::ProgramError>(())
-    /// ```
-    pub fn run_trace(&self, trace: &Trace, warmup: u64, measure: u64) -> RunResult {
-        self.run_source(trace.cursor(), warmup, measure)
-    }
-
-    /// Drive the core from any [`InstSource`] — the generic face behind
-    /// [`Simulator::run_with_warmup`] (streaming executor) and
-    /// [`Simulator::run_trace`] (trace replay).
-    pub fn run_source<S: InstSource>(&self, source: S, warmup: u64, measure: u64) -> RunResult {
-        self.run_source_with_sink(source, warmup, measure, &mut NullSink)
-    }
-
-    /// Like [`Simulator::run_source`], but streams typed pipeline events
-    /// into `sink` (see [`crate::tap`]). The simulated machine is
-    /// unaffected: the returned [`RunResult`] is byte-identical to the
-    /// sink-free entry points (`tests/tap_equivalence.rs` proves this for
-    /// arbitrary scenarios).
+    /// let result = sim.replay(trace.cursor(), 0, 2_000, &mut NullSink);
+    /// assert_eq!(result, sim.replay(Executor::new(&program), 0, 2_000, &mut NullSink));
+    /// assert!(result.metrics.ipc() > 0.5);
     ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vpsim_uarch::tap::{check_conservation, StallTally};
-    /// use vpsim_uarch::{CoreConfig, Simulator};
-    /// use vpsim_isa::{Executor, ProgramBuilder, Reg};
-    ///
-    /// let mut b = ProgramBuilder::new();
-    /// let (i, n) = (Reg::int(1), Reg::int(2));
-    /// b.load_imm(n, 500);
-    /// let top = b.bind_label();
-    /// b.addi(i, i, 1);
-    /// b.blt(i, n, top);
-    /// b.halt();
-    /// let program = b.build()?;
-    ///
-    /// let sim = Simulator::new(CoreConfig::default());
     /// let mut tally = StallTally::default();
-    /// let result = sim.run_source_with_sink(Executor::new(&program), 0, 1_000, &mut tally);
+    /// assert_eq!(sim.replay(trace.cursor(), 0, 2_000, &mut tally), result);
     /// let report = tally.measured();
     /// assert_eq!(report.total_cycles(), result.metrics.cycles);
     /// check_conservation(&result, &report).unwrap();
     /// # Ok::<(), vpsim_isa::ProgramError>(())
     /// ```
-    pub fn run_source_with_sink<S: InstSource, T: PipeEventSink>(
+    pub fn replay<S: InstSource, T: PipeEventSink>(
         &self,
         source: S,
         warmup: u64,
         measure: u64,
         sink: &mut T,
     ) -> RunResult {
-        let mut machine = Machine::new(&self.config, source, sink);
-        machine.simulate(warmup, measure)
-    }
-
-    /// [`Simulator::run_trace`] with an event sink: replay a captured
-    /// trace while streaming pipeline events into `sink`.
-    pub fn run_trace_with_sink<T: PipeEventSink>(
-        &self,
-        trace: &Trace,
-        warmup: u64,
-        measure: u64,
-        sink: &mut T,
-    ) -> RunResult {
-        self.run_source_with_sink(trace.cursor(), warmup, measure, sink)
-    }
-
-    /// Test-only instrumentation hook: identical to
-    /// [`Simulator::run_source`], but invokes `mark` once, the first time
-    /// the committed-instruction count reaches `mark_at`. The
-    /// zero-allocation regression test uses this to start counting heap
-    /// allocations only after the machine reaches steady state.
-    #[doc(hidden)]
-    pub fn run_source_marked<S: InstSource>(
-        &self,
-        source: S,
-        warmup: u64,
-        measure: u64,
-        mark_at: u64,
-        mark: &mut dyn FnMut(),
-    ) -> RunResult {
-        self.run_source_marked_with_sink(source, warmup, measure, mark_at, mark, &mut NullSink)
-    }
-
-    /// [`Simulator::run_source_marked`] with an event sink — lets the
-    /// zero-allocation test prove the *enabled* tap path also stays
-    /// allocation-free in steady state.
-    #[doc(hidden)]
-    pub fn run_source_marked_with_sink<S: InstSource, T: PipeEventSink>(
-        &self,
-        source: S,
-        warmup: u64,
-        measure: u64,
-        mark_at: u64,
-        mark: &mut dyn FnMut(),
-        sink: &mut T,
-    ) -> RunResult {
-        let mut machine = Machine::new(&self.config, source, sink);
-        machine.simulate_marked(warmup, measure, mark_at, mark)
+        Machine::new(&self.config, source, sink).simulate(warmup, measure)
     }
 
     /// Sampled replay (see [`crate::sampling`]): run the detailed timing
@@ -329,6 +226,7 @@ impl Simulator {
     /// # Examples
     ///
     /// ```
+    /// use vpsim_uarch::tap::NullSink;
     /// use vpsim_uarch::{CoreConfig, SampleConfig, Simulator};
     /// use vpsim_isa::{ProgramBuilder, Reg, Trace};
     ///
@@ -346,7 +244,7 @@ impl Simulator {
     /// let sample = SampleConfig { intervals: 4, period: 5_000, warmup: 1_000 };
     /// let sampled = sim.run_sampled(&trace, 0, 100_000, sample);
     /// assert_eq!(sampled.intervals_replayed(), 4);
-    /// let full = sim.run_trace(&trace, 0, 100_000);
+    /// let full = sim.replay(trace.cursor(), 0, 100_000, &mut NullSink);
     /// let est = sampled.combined().metrics.ipc();
     /// assert!((est - full.metrics.ipc()).abs() / full.metrics.ipc() < 0.05);
     /// # Ok::<(), vpsim_isa::ProgramError>(())
@@ -554,23 +452,12 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
     }
 
     fn simulate(&mut self, warmup: u64, measure: u64) -> RunResult {
-        self.simulate_marked(warmup, measure, u64::MAX, &mut || ())
-    }
-
-    fn simulate_marked(
-        &mut self,
-        warmup: u64,
-        measure: u64,
-        mark_at: u64,
-        mark: &mut dyn FnMut(),
-    ) -> RunResult {
         let target = warmup.saturating_add(measure);
         // Retire pauses exactly at the warm-up boundary so the measurement
         // window is precisely `measure` instructions.
         self.stop_at = if warmup > 0 { warmup } else { target };
         let mut snapshot = self.totals();
         let mut snapped = warmup == 0;
-        let mut marked = false;
 
         while self.counters.metrics.instructions < target {
             if self.w.is_empty() && self.refetch.is_empty() && self.source_done {
@@ -588,10 +475,6 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             // pair 1:1 with clock movement (the conservation invariant).
             let cycle_cause =
                 if T::ENABLED && idle { self.stall_cause() } else { CycleCause::Active };
-            if !marked && self.counters.metrics.instructions >= mark_at {
-                mark();
-                marked = true;
-            }
             if !snapped && self.counters.metrics.instructions >= warmup {
                 snapshot = self.totals();
                 snapped = true;
@@ -1663,7 +1546,7 @@ mod tests {
     use super::*;
     use crate::config::VpConfig;
     use vpsim_core::PredictorKind;
-    use vpsim_isa::{ProgramBuilder, Reg};
+    use vpsim_isa::{Executor, Program, ProgramBuilder, Reg};
 
     fn counted_loop(iters: i64, body_adds: usize) -> Program {
         let mut b = ProgramBuilder::new();
@@ -1680,12 +1563,17 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn base_sim() -> Simulator {
-        Simulator::new(CoreConfig::default())
+    fn base() -> CoreConfig {
+        CoreConfig::default()
     }
 
-    fn vp_sim(kind: PredictorKind, recovery: RecoveryPolicy) -> Simulator {
-        Simulator::new(CoreConfig::default().with_vp(VpConfig::enabled(kind, recovery)))
+    fn vp_config(kind: PredictorKind, recovery: RecoveryPolicy) -> CoreConfig {
+        CoreConfig::default().with_vp(VpConfig::enabled(kind, recovery))
+    }
+
+    /// Execute `program` inline on `config`'s core.
+    fn run(config: CoreConfig, program: &Program, warmup: u64, measure: u64) -> RunResult {
+        Simulator::new(config).replay(Executor::new(program), warmup, measure, &mut NullSink)
     }
 
     #[test]
@@ -1693,7 +1581,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.halt();
         let p = b.build().unwrap();
-        let r = base_sim().run(&p, 1000);
+        let r = run(base(), &p, 0, 1000);
         assert_eq!(r.metrics.instructions, 1);
     }
 
@@ -1712,7 +1600,7 @@ mod tests {
         b.blt(counter, n, top);
         b.halt();
         let p = b.build().unwrap();
-        let r = base_sim().run(&p, 50_000);
+        let r = run(base(), &p, 0, 50_000);
         assert!(r.metrics.ipc() > 2.0, "ipc {}", r.metrics.ipc());
     }
 
@@ -1730,7 +1618,7 @@ mod tests {
         b.blt(i, n, top);
         b.halt();
         let p = b.build().unwrap();
-        let r = base_sim().run(&p, 50_000);
+        let r = run(base(), &p, 0, 50_000);
         assert!(r.metrics.ipc() < 1.6, "ipc {}", r.metrics.ipc());
     }
 
@@ -1759,7 +1647,7 @@ mod tests {
             b.halt();
             b.build().unwrap()
         }
-        let random = base_sim().run(&branchy(12345), 30_000);
+        let random = run(base(), &branchy(12345), 0, 30_000);
         // The biased version: same structure but the branch never fires.
         let mut b = ProgramBuilder::new();
         let (i, n) = (Reg::int(2), Reg::int(3));
@@ -1771,7 +1659,7 @@ mod tests {
         b.addi(i, i, 1);
         b.blt(i, n, top);
         b.halt();
-        let biased = base_sim().run(&b.build().unwrap(), 30_000);
+        let biased = run(base(), &b.build().unwrap(), 0, 30_000);
         assert!(
             random.branch.direction_accuracy() < 0.9,
             "LCG branch should be hard: {}",
@@ -1799,7 +1687,7 @@ mod tests {
         b.addi(i, i, 1);
         b.blt(i, n, top);
         b.halt();
-        let r = base_sim().run(&b.build().unwrap(), 60_000);
+        let r = run(base(), &b.build().unwrap(), 0, 60_000);
         assert!(r.l1d.misses > 1000, "l1d misses {}", r.l1d.misses);
         assert!(r.metrics.ipc() < 1.0, "pointer chase must be slow, ipc {}", r.metrics.ipc());
     }
@@ -1807,8 +1695,9 @@ mod tests {
     #[test]
     fn oracle_vp_breaks_dependence_chains() {
         let p = counted_loop(3000, 8);
-        let base = base_sim().run(&p, 40_000);
-        let oracle = vp_sim(PredictorKind::Oracle, RecoveryPolicy::SquashAtCommit).run(&p, 40_000);
+        let base = run(base(), &p, 0, 40_000);
+        let oracle =
+            run(vp_config(PredictorKind::Oracle, RecoveryPolicy::SquashAtCommit), &p, 0, 40_000);
         assert!(
             oracle.metrics.ipc() > base.metrics.ipc() * 1.2,
             "oracle {} vs base {}",
@@ -1823,9 +1712,13 @@ mod tests {
     fn stride_vp_speeds_up_serial_counter_loop() {
         // The loop counter chain is strided: a stride predictor breaks it.
         let p = counted_loop(4000, 0);
-        let base = base_sim().run(&p, 40_000);
-        let vp =
-            vp_sim(PredictorKind::TwoDeltaStride, RecoveryPolicy::SquashAtCommit).run(&p, 40_000);
+        let base = run(base(), &p, 0, 40_000);
+        let vp = run(
+            vp_config(PredictorKind::TwoDeltaStride, RecoveryPolicy::SquashAtCommit),
+            &p,
+            0,
+            40_000,
+        );
         assert!(
             vp.metrics.ipc() >= base.metrics.ipc() * 0.99,
             "vp {} vs base {}",
@@ -1839,7 +1732,7 @@ mod tests {
     #[test]
     fn vp_stats_are_consistent() {
         let p = counted_loop(2000, 4);
-        let r = vp_sim(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit).run(&p, 30_000);
+        let r = run(vp_config(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit), &p, 0, 30_000);
         assert!(r.vp.used <= r.vp.eligible);
         assert!(r.vp.hits <= r.vp.eligible);
         assert_eq!(r.vp.used, r.vp.correct_used + r.vp.mispredicted);
@@ -1870,7 +1763,7 @@ mod tests {
         b.blt(i, n, top);
         b.halt();
         let p = b.build().unwrap();
-        let r = vp_sim(PredictorKind::Lvp, RecoveryPolicy::SquashAtCommit).run(&p, 60_000);
+        let r = run(vp_config(PredictorKind::Lvp, RecoveryPolicy::SquashAtCommit), &p, 0, 60_000);
         // The run completes with correct results and at most a few squashes.
         assert!(r.metrics.instructions > 15_000);
         assert!(r.vp_squashes >= 1, "the value break must trigger a squash");
@@ -1893,8 +1786,12 @@ mod tests {
         b.blt(i, n, top);
         b.halt();
         let p = b.build().unwrap();
-        let r =
-            vp_sim(PredictorKind::TwoDeltaStride, RecoveryPolicy::SelectiveReissue).run(&p, 40_000);
+        let r = run(
+            vp_config(PredictorKind::TwoDeltaStride, RecoveryPolicy::SelectiveReissue),
+            &p,
+            0,
+            40_000,
+        );
         assert!(r.metrics.instructions > 10_000);
         // With baseline counters we would see reissues; with FPC they are
         // rare but the machinery must not corrupt anything.
@@ -1916,7 +1813,7 @@ mod tests {
         b.blt(i, n, top);
         b.halt();
         let p = b.build().unwrap();
-        let r = base_sim().run(&p, 40_000);
+        let r = run(base(), &p, 0, 40_000);
         assert!(r.metrics.instructions > 10_000);
         // Store sets learn after the first violation; there must be far
         // fewer violations than iterations.
@@ -1927,7 +1824,7 @@ mod tests {
     fn back_to_back_stat_fires_in_tight_loops() {
         // A 3-µop loop body: the same PC is fetched in consecutive cycles.
         let p = counted_loop(4000, 1);
-        let r = base_sim().run(&p, 20_000);
+        let r = run(base(), &p, 0, 20_000);
         assert!(
             r.back_to_back.fraction() > 0.05,
             "tight loop must show back-to-back fetches, got {}",
@@ -1938,9 +1835,8 @@ mod tests {
     #[test]
     fn warmup_excludes_cold_effects() {
         let p = counted_loop(20_000, 4);
-        let sim = base_sim();
-        let cold = sim.run(&p, 40_000);
-        let warm = sim.run_with_warmup(&p, 20_000, 20_000);
+        let cold = run(base(), &p, 0, 40_000);
+        let warm = run(base(), &p, 20_000, 20_000);
         assert_eq!(warm.metrics.instructions, 20_000);
         assert!(warm.metrics.ipc() >= cold.metrics.ipc() * 0.95);
     }
@@ -1949,15 +1845,15 @@ mod tests {
     fn trace_replay_matches_inline_execution() {
         use vpsim_isa::Trace;
         let p = counted_loop(3000, 4);
-        for sim in [
-            base_sim(),
-            vp_sim(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit),
-            vp_sim(PredictorKind::TwoDeltaStride, RecoveryPolicy::SelectiveReissue),
+        for config in [
+            base(),
+            vp_config(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit),
+            vp_config(PredictorKind::TwoDeltaStride, RecoveryPolicy::SelectiveReissue),
         ] {
-            let inline = sim.run_with_warmup(&p, 2_000, 10_000);
-            let trace = Trace::capture(&p, sim.config().trace_budget(2_000, 10_000));
-            let replayed = sim.run_trace(&trace, 2_000, 10_000);
-            assert_eq!(inline, replayed, "replay must be byte-identical");
+            let trace = Trace::capture(&p, config.trace_budget(2_000, 10_000));
+            let replayed =
+                Simulator::new(config.clone()).replay(trace.cursor(), 2_000, 10_000, &mut NullSink);
+            assert_eq!(run(config, &p, 2_000, 10_000), replayed, "replay must be byte-identical");
         }
     }
 
@@ -1967,9 +1863,9 @@ mod tests {
         // The program ends long before the budget: the trace is complete
         // and replay must agree with inline execution of the whole thing.
         let p = counted_loop(50, 1);
-        let sim = base_sim();
-        let trace = Trace::capture(&p, sim.config().trace_budget(0, 100_000));
-        assert_eq!(sim.run_trace(&trace, 0, 100_000), sim.run(&p, 100_000));
+        let trace = Trace::capture(&p, base().trace_budget(0, 100_000));
+        let replayed = Simulator::new(base()).replay(trace.cursor(), 0, 100_000, &mut NullSink);
+        assert_eq!(replayed, run(base(), &p, 0, 100_000));
     }
 
     #[test]
@@ -1979,7 +1875,7 @@ mod tests {
         let p = counted_loop(100, 2);
         let cfg = CoreConfig::default();
         let mut sink = NullSink;
-        let mut m = Machine::new(&cfg, vpsim_isa::Executor::new(&p), &mut sink);
+        let mut m = Machine::new(&cfg, Executor::new(&p), &mut sink);
         for _ in 0..300 {
             m.fetch();
             m.now += 1;
@@ -2005,7 +1901,7 @@ mod tests {
         let cfg = CoreConfig::default();
         let mut log = crate::tap::CycleLog::with_capacity(256);
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut m = Machine::new(&cfg, vpsim_isa::Executor::new(&p), &mut log);
+            let mut m = Machine::new(&cfg, Executor::new(&p), &mut log);
             m.fetch_blocked_on = Some(u64::MAX);
             m.simulate(0, 100)
         }))
@@ -2024,22 +1920,11 @@ mod tests {
     }
 
     #[test]
-    fn run_source_marked_fires_once_at_the_boundary() {
-        let p = counted_loop(2000, 2);
-        let sim = base_sim();
-        let mut hits = 0usize;
-        let marked =
-            sim.run_source_marked(vpsim_isa::Executor::new(&p), 0, 6_000, 3_000, &mut || hits += 1);
-        assert_eq!(hits, 1, "mark fires exactly once");
-        assert_eq!(marked, sim.run(&p, 6_000), "the hook must not change results");
-    }
-
-    #[test]
     fn deterministic_across_runs() {
         let p = counted_loop(3000, 4);
-        let sim = vp_sim(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit);
-        let a = sim.run(&p, 30_000);
-        let b = sim.run(&p, 30_000);
+        let config = vp_config(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit);
+        let a = run(config.clone(), &p, 0, 30_000);
+        let b = run(config, &p, 0, 30_000);
         assert_eq!(a, b, "same config + program ⇒ identical results");
     }
 
@@ -2065,15 +1950,16 @@ mod tests {
         b.blt(i, n, top);
         b.halt();
         let p = b.build().unwrap();
-        let mk = |scheme| {
-            Simulator::new(CoreConfig::default().with_vp(VpConfig {
+        let lvp = |scheme| {
+            let config = CoreConfig::default().with_vp(VpConfig {
                 kind: PredictorKind::Lvp,
                 scheme,
                 recovery: RecoveryPolicy::SquashAtCommit,
-            }))
+            });
+            run(config, &p, 0, 50_000)
         };
-        let base = mk(vpsim_core::ConfidenceScheme::baseline()).run(&p, 50_000);
-        let fpc = mk(vpsim_core::ConfidenceScheme::fpc_squash()).run(&p, 50_000);
+        let base = lvp(vpsim_core::ConfidenceScheme::baseline());
+        let fpc = lvp(vpsim_core::ConfidenceScheme::fpc_squash());
         assert!(base.vp.mispredicted > 50, "baseline must get burned: {}", base.vp.mispredicted);
         assert!(
             fpc.vp.mispredicted * 4 < base.vp.mispredicted,

@@ -53,9 +53,12 @@ pub struct SampleConfig {
 }
 
 impl Default for SampleConfig {
-    /// 20 intervals × 10 000 µops, 2 000 µops detailed warmup each —
-    /// ≤1 % relative IPC error on the paper grid at a small fraction of
-    /// the full replay cost (see "Sampling layer" in ARCHITECTURE.md).
+    /// 20 intervals × 10 000 µops, 2 000 µops detailed warmup each, at a
+    /// small fraction of the full replay cost (see "Sampling layer" in
+    /// ARCHITECTURE.md). Its accuracy is uneven: 0.05 % (baseline) and
+    /// 0.51 % (VTAGE) relative IPC error on a 10M-µop gzip run
+    /// (`BENCH_sampling.json`), but up to 13–18 % on the worst cell of
+    /// perfbench's sampled-long workload (ROADMAP item 2).
     fn default() -> Self {
         SampleConfig { intervals: 20, period: 10_000, warmup: 2_000 }
     }

@@ -9,6 +9,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use vpsim_isa::{frame, ProgramBuilder, Reg, Trace, TraceDecodeError};
+use vpsim_uarch::tap::NullSink;
 use vpsim_uarch::{Checkpoint, CoreConfig, RunResult, SampleConfig, Simulator};
 
 /// A decoder under test, with its result discarded.
@@ -38,7 +39,7 @@ fn valid() -> &'static [Vec<u8>; 3] {
         b.halt();
         let sim = Simulator::new(CoreConfig::default());
         let trace = Trace::capture(&b.build().unwrap(), sim.config().trace_budget(0, 4_000));
-        let result = sim.run_trace(&trace, 0, 2_000);
+        let result = sim.replay(trace.cursor(), 0, 2_000, &mut NullSink);
         let sample = SampleConfig { intervals: 1, period: 1_000, warmup: 100 };
         let checkpoint = sim.sample_checkpoints(&trace, 500, 2_000, sample).remove(0);
         [trace.to_bytes(), result.to_bytes(), checkpoint.to_bytes()]

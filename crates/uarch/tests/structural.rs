@@ -3,8 +3,9 @@
 //! real constraints rather than idealized dataflow.
 
 use vpsim_core::PredictorKind;
-use vpsim_isa::{Program, ProgramBuilder, Reg};
-use vpsim_uarch::{CoreConfig, RecoveryPolicy, Simulator, VpConfig};
+use vpsim_isa::{Executor, Program, ProgramBuilder, Reg};
+use vpsim_uarch::tap::NullSink;
+use vpsim_uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 
 /// A loop of `width` independent operation chains, `make_op` emitting each.
 fn parallel_loop(width: u8, mut make_op: impl FnMut(&mut ProgramBuilder, Reg)) -> Program {
@@ -22,8 +23,14 @@ fn parallel_loop(width: u8, mut make_op: impl FnMut(&mut ProgramBuilder, Reg)) -
     b.build().unwrap()
 }
 
+/// Execute `program` inline on `config`'s core: `warmup` µops unmeasured,
+/// then `measure` measured.
+fn run(config: CoreConfig, program: &Program, warmup: u64, measure: u64) -> RunResult {
+    Simulator::new(config).replay(Executor::new(program), warmup, measure, &mut NullSink)
+}
+
 fn ipc(config: CoreConfig, program: &Program) -> f64 {
-    Simulator::new(config).run(program, 30_000).metrics.ipc()
+    run(config, program, 0, 30_000).metrics.ipc()
 }
 
 #[test]
@@ -244,7 +251,7 @@ fn selective_reissue_survives_tiny_iq() {
         scheme: vpsim_core::ConfidenceScheme::full(1),
         recovery: RecoveryPolicy::SelectiveReissue,
     });
-    let r = Simulator::new(cfg).run(&p, 40_000);
+    let r = run(cfg, &p, 0, 40_000);
     assert_eq!(r.metrics.instructions, 40_000);
     assert!(r.reissued_uops > 0);
 }
@@ -259,7 +266,7 @@ fn icache_miss_stalls_cold_fetch() {
     }
     b.halt();
     let p = b.build().unwrap();
-    let r = Simulator::new(CoreConfig::default()).run(&p, 5_000);
+    let r = run(CoreConfig::default(), &p, 0, 5_000);
     assert!(r.l1i.misses > 30, "cold straight-line code must miss L1I: {}", r.l1i.misses);
 }
 
@@ -282,7 +289,7 @@ fn stall_attribution_identifies_the_bottleneck() {
     b.addi(counter, counter, 1);
     b.blt(counter, limit, top);
     b.halt();
-    let branchy = Simulator::new(CoreConfig::default()).run(&b.build().unwrap(), 30_000);
+    let branchy = run(CoreConfig::default(), &b.build().unwrap(), 0, 30_000);
     assert!(
         branchy.stalls.fetch_branch_cycles > branchy.stalls.dispatch_total(),
         "branchy code must be fetch-branch bound: {:?}",
@@ -290,8 +297,8 @@ fn stall_attribution_identifies_the_bottleneck() {
     );
 
     // Window-bound code (serial DRAM chase): ROB-dispatch stalls dominate.
-    let chase = Simulator::new(CoreConfig::default())
-        .run(&vpsim_workloads::microkernels::pointer_chase(1 << 16), 30_000);
+    let chase_loop = vpsim_workloads::microkernels::pointer_chase(1 << 16);
+    let chase = run(CoreConfig::default(), &chase_loop, 0, 30_000);
     // The serial chase fills the 48-entry LQ long before the 256-entry
     // ROB: the dominant dispatch stall is the load queue.
     assert!(
@@ -320,12 +327,12 @@ fn unconsumed_mispredictions_are_harmless() {
     b.blt(i, limit, top);
     b.halt();
     let p = b.build().unwrap();
-    let r = Simulator::new(CoreConfig::default().with_vp(VpConfig {
+    let config = CoreConfig::default().with_vp(VpConfig {
         kind: PredictorKind::Lvp,
         scheme: vpsim_core::ConfidenceScheme::full(1),
         recovery: RecoveryPolicy::SquashAtCommit,
-    }))
-    .run(&p, 60_000);
+    });
+    let r = run(config, &p, 0, 60_000);
     assert!(r.vp.mispredicted > 50, "bursty values must mispredict: {}", r.vp.mispredicted);
     assert_eq!(
         r.vp.harmless_mispredictions, r.vp.mispredicted,
@@ -351,12 +358,12 @@ fn selective_reissue_is_transitive() {
     b.blt(i, limit, top);
     b.halt();
     let p = b.build().unwrap();
-    let r = Simulator::new(CoreConfig::default().with_vp(VpConfig {
+    let config = CoreConfig::default().with_vp(VpConfig {
         kind: PredictorKind::Lvp,
         scheme: vpsim_core::ConfidenceScheme::full(1),
         recovery: RecoveryPolicy::SelectiveReissue,
-    }))
-    .run(&p, 60_000);
+    });
+    let r = run(config, &p, 0, 60_000);
     let consumed_wrong = r.vp.mispredicted - r.vp.harmless_mispredictions;
     assert!(consumed_wrong > 20, "consumed mispredictions expected: {consumed_wrong}");
     assert!(

@@ -39,12 +39,7 @@ fn run_tapped(
     measure: u64,
 ) -> (RunResult, StallReport) {
     let mut tally = StallTally::default();
-    let result = Simulator::new(config).run_source_with_sink(
-        Executor::new(program),
-        warmup,
-        measure,
-        &mut tally,
-    );
+    let result = Simulator::new(config).replay(Executor::new(program), warmup, measure, &mut tally);
     (result, tally.measured())
 }
 
@@ -122,7 +117,7 @@ fn short_programs_conserve_when_the_source_runs_dry() {
     // and exits early; the partial run must still attribute every cycle.
     let program = mixed_kernel(50);
     let mut sink = (StallTally::default(), CycleLog::with_capacity(64));
-    let result = Simulator::new(CoreConfig::default()).run_source_with_sink(
+    let result = Simulator::new(CoreConfig::default()).replay(
         Executor::new(&program),
         0,
         100_000,

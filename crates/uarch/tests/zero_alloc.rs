@@ -4,29 +4,30 @@
 //! touches — window slab, ready bitset, poison masks, completion wheel,
 //! wakeup/waiter lists, issue scratch, fetch ring — is allocated once and
 //! reused, so steady-state simulation performs **zero heap allocations per
-//! cycle**. This test enforces it with a counting global allocator and the
-//! `Simulator::run_source_marked` hook: allocations are counted only after
-//! the machine has committed a warm-up prefix (so one-time growth —
-//! wheel horizon, buffer capacities, predictor in-flight queues reaching
-//! their high-water mark — is excluded), exactly the "debug-assert
-//! allocation counter behind a test hook" the refactor promises.
+//! cycle**. This test enforces it with a counting global allocator and an
+//! `Armed` instruction source that starts counting once it has handed
+//! fetch a warm-up prefix (so one-time growth — wheel horizon, buffer
+//! capacities, predictor in-flight queues reaching their high-water mark —
+//! is excluded), exactly the "debug-assert allocation counter behind a test
+//! hook" the refactor promises. Fetch runs at most the fetch queue plus the
+//! ROB ahead of commit, so counting starts no later than the warm-up's last
+//! commit and covers the whole measured region.
 //!
 //! Scope: the no-VP core is strictly zero-alloc. With a value predictor
 //! attached, predictor-internal tables may still rehash, so the VP case
 //! asserts a near-zero bound per committed instruction rather than zero.
 //!
-//! The pipeline event tap is held to the same standard: with the default
-//! `NullSink` the instrumented entry points must stay strictly zero-alloc
-//! (the tap compiles out), and with a live `(StallTally, CycleLog)` sink
-//! the steady state must *still* be zero-alloc — the tally is a flat
-//! struct and the cycle log a preallocated ring, so no event ever touches
-//! the heap.
+//! The pipeline event tap is held to the same standard: with a `NullSink`
+//! the run must stay strictly zero-alloc (the tap compiles out), and with
+//! a live `(StallTally, CycleLog)` sink the steady state must *still* be
+//! zero-alloc — the tally is a flat struct and the cycle log a
+//! preallocated ring, so no event ever touches the heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use vpsim_core::PredictorKind;
-use vpsim_isa::{Executor, ProgramBuilder, Reg, Trace};
+use vpsim_isa::{DynInst, Executor, InstSource, ProgramBuilder, Reg, Trace};
 use vpsim_uarch::tap::{CycleLog, NullSink, StallTally};
 use vpsim_uarch::{CoreConfig, RecoveryPolicy, Simulator, VpConfig};
 
@@ -68,6 +69,35 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// An [`InstSource`] that sets `COUNTING` when it hands fetch its
+/// `warm`-th µop; the counter then stays armed to the end of the run.
+struct Armed<S> {
+    source: S,
+    warm: u64,
+    handed: u64,
+}
+
+impl<S: InstSource> Armed<S> {
+    fn new(source: S, warm: u64) -> Self {
+        Armed { source, warm, handed: 0 }
+    }
+}
+
+impl<S: InstSource> InstSource for Armed<S> {
+    fn next_inst(&mut self) -> Option<DynInst> {
+        self.handed += 1;
+        if self.handed == self.warm {
+            COUNTING.store(true, Ordering::SeqCst);
+        }
+        self.source.next_inst()
+    }
+}
+
+/// Disarm the counter after a run; `true` if the run armed it.
+fn disarm() -> bool {
+    COUNTING.swap(false, Ordering::SeqCst)
+}
+
 /// A loop with ALU chains, loads, stores and branches — every stage of the
 /// pipeline is exercised, with a memory footprint that is fully touched
 /// during the warm-up prefix.
@@ -90,19 +120,14 @@ fn mixed_kernel() -> vpsim_isa::Program {
 }
 
 /// Run `config` on the mixed kernel, counting allocations only after
-/// `warm` committed instructions; returns allocations during the last
-/// `measured` committed instructions.
+/// fetch has taken `warm` µops; returns allocations from there to the end
+/// of `warm + measured` committed instructions.
 fn allocations_in_steady_state(config: CoreConfig, warm: u64, measured: u64) -> u64 {
     let program = mixed_kernel();
     let sim = Simulator::new(config);
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    let mut armed = false;
-    sim.run_source_marked(Executor::new(&program), 0, warm + measured, warm, &mut || {
-        COUNTING.store(true, Ordering::SeqCst);
-        armed = true;
-    });
-    COUNTING.store(false, Ordering::SeqCst);
-    assert!(armed, "mark hook must fire");
+    sim.replay(Armed::new(Executor::new(&program), warm), 0, warm + measured, &mut NullSink);
+    assert!(disarm(), "counting must arm");
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
@@ -125,10 +150,8 @@ fn trace_replay_steady_state_is_allocation_free() {
     let sim = Simulator::new(CoreConfig::default());
     let trace = Trace::capture(&program, sim.config().trace_budget(0, 120_000));
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    sim.run_source_marked(trace.cursor(), 0, 120_000, 60_000, &mut || {
-        COUNTING.store(true, Ordering::SeqCst);
-    });
-    COUNTING.store(false, Ordering::SeqCst);
+    sim.replay(Armed::new(trace.cursor(), 60_000), 0, 120_000, &mut NullSink);
+    assert!(disarm(), "counting must arm");
     let allocs = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(allocs, 0, "replay steady state must not allocate ({allocs} allocations)");
 }
@@ -136,24 +159,13 @@ fn trace_replay_steady_state_is_allocation_free() {
 #[test]
 fn disabled_tap_steady_state_is_allocation_free() {
     let _serial = serialize_test();
-    // The explicit-NullSink spelling must be exactly as clean as the
-    // sink-free entry points: `T::ENABLED = false` compiles every emission
-    // site out, so this is the same machine instruction-for-instruction.
+    // `NullSink` sets `T::ENABLED = false`, which compiles every emission
+    // site out: the disabled tap must be strictly zero-alloc.
     let program = mixed_kernel();
     let sim = Simulator::new(CoreConfig::default());
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    let mut sink = NullSink;
-    sim.run_source_marked_with_sink(
-        Executor::new(&program),
-        0,
-        120_000,
-        60_000,
-        &mut || {
-            COUNTING.store(true, Ordering::SeqCst);
-        },
-        &mut sink,
-    );
-    COUNTING.store(false, Ordering::SeqCst);
+    sim.replay(Armed::new(Executor::new(&program), 60_000), 0, 120_000, &mut NullSink);
+    assert!(disarm(), "counting must arm");
     let allocs = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(allocs, 0, "disabled tap must not allocate ({allocs} allocations)");
 }
@@ -169,17 +181,8 @@ fn enabled_tap_steady_state_is_allocation_free() {
     let sim = Simulator::new(CoreConfig::default());
     let mut sink = (StallTally::default(), CycleLog::with_capacity(256));
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    sim.run_source_marked_with_sink(
-        Executor::new(&program),
-        0,
-        120_000,
-        60_000,
-        &mut || {
-            COUNTING.store(true, Ordering::SeqCst);
-        },
-        &mut sink,
-    );
-    COUNTING.store(false, Ordering::SeqCst);
+    sim.replay(Armed::new(Executor::new(&program), 60_000), 0, 120_000, &mut sink);
+    assert!(disarm(), "counting must arm");
     let allocs = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(allocs, 0, "enabled tap must not allocate per event ({allocs} allocations)");
     assert!(sink.1.total_events() > 120_000, "the tap actually observed the run");

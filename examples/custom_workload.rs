@@ -13,8 +13,9 @@
 //! FPC counters.
 
 use vpsim::core::{ConfidenceScheme, PredictorKind};
-use vpsim::isa::{Program, ProgramBuilder, Reg};
+use vpsim::isa::{Executor, Program, ProgramBuilder, Reg};
 use vpsim::stats::table::{fmt_f, fmt_pct, Table};
+use vpsim::uarch::tap::NullSink;
 use vpsim::uarch::{CoreConfig, RecoveryPolicy, Simulator, VpConfig};
 
 /// A loop whose loaded value is constant within 48-iteration phases and
@@ -54,7 +55,9 @@ fn phase_change_workload() -> Program {
 fn main() {
     let program = phase_change_workload();
     let budget = 300_000;
-    let baseline = Simulator::new(CoreConfig::default()).run(&program, budget);
+    let run =
+        |config| Simulator::new(config).replay(Executor::new(&program), 0, budget, &mut NullSink);
+    let baseline = run(CoreConfig::default());
 
     let mut t = Table::new(vec![
         "Recovery × counters".into(),
@@ -70,12 +73,11 @@ fn main() {
         ("reissue, 3-bit", RecoveryPolicy::SelectiveReissue, ConfidenceScheme::baseline()),
         ("reissue, FPC", RecoveryPolicy::SelectiveReissue, ConfidenceScheme::fpc_reissue()),
     ] {
-        let r = Simulator::new(CoreConfig::default().with_vp(VpConfig {
+        let r = run(CoreConfig::default().with_vp(VpConfig {
             kind: PredictorKind::Lvp,
             scheme,
             recovery,
-        }))
-        .run(&program, budget);
+        }));
         t.row(vec![
             label.into(),
             fmt_f(vpsim::stats::speedup(&baseline.metrics, &r.metrics), 3),

@@ -10,7 +10,9 @@
 //! counters, on a workload whose values break just often enough to hurt.
 
 use vpsim::core::{ConfidenceScheme, PredictorKind};
+use vpsim::isa::Executor;
 use vpsim::stats::table::{fmt_f, fmt_pct, Table};
+use vpsim::uarch::tap::NullSink;
 use vpsim::uarch::{CoreConfig, RecoveryPolicy, Simulator, VpConfig};
 use vpsim::workloads::{benchmark, WorkloadParams};
 
@@ -21,7 +23,10 @@ fn main() {
     let program = (bench.build)(&WorkloadParams::default());
     let (warmup, measure) = (50_000, 200_000);
 
-    let baseline = Simulator::new(CoreConfig::default()).run_with_warmup(&program, warmup, measure);
+    let run = |config| {
+        Simulator::new(config).replay(Executor::new(&program), warmup, measure, &mut NullSink)
+    };
+    let baseline = run(CoreConfig::default());
 
     // Vectors: log2 denominators of the 7 forward transition probabilities.
     let vectors: [(&str, [u8; 7]); 5] = [
@@ -43,12 +48,11 @@ fn main() {
     for (label, probs) in vectors {
         let scheme = ConfidenceScheme::fpc(probs);
         let steps = scheme.expected_steps_to_saturation();
-        let r = Simulator::new(CoreConfig::default().with_vp(VpConfig {
+        let r = run(CoreConfig::default().with_vp(VpConfig {
             kind: PredictorKind::Vtage,
             scheme,
             recovery: RecoveryPolicy::SquashAtCommit,
-        }))
-        .run_with_warmup(&program, warmup, measure);
+        }));
         t.row(vec![
             label.into(),
             fmt_f(steps, 0),

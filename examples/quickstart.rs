@@ -10,7 +10,9 @@
 //! comparison.
 
 use vpsim::core::PredictorKind;
+use vpsim::isa::Executor;
 use vpsim::stats::table::{fmt_f, fmt_pct, Table};
+use vpsim::uarch::tap::NullSink;
 use vpsim::uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 use vpsim::workloads::microkernels;
 
@@ -19,19 +21,17 @@ fn main() {
     let program = microkernels::fp_reduction(256);
     let budget = 200_000;
 
-    let baseline = Simulator::new(CoreConfig::default()).run(&program, budget);
+    let run = |vp: Option<PredictorKind>| {
+        let mut config = CoreConfig::default();
+        if let Some(kind) = vp {
+            config = config.with_vp(VpConfig::enabled(kind, RecoveryPolicy::SquashAtCommit));
+        }
+        Simulator::new(config).replay(Executor::new(&program), 0, budget, &mut NullSink)
+    };
 
-    let hybrid = Simulator::new(
-        CoreConfig::default()
-            .with_vp(VpConfig::enabled(PredictorKind::VtageStride, RecoveryPolicy::SquashAtCommit)),
-    )
-    .run(&program, budget);
-
-    let oracle = Simulator::new(
-        CoreConfig::default()
-            .with_vp(VpConfig::enabled(PredictorKind::Oracle, RecoveryPolicy::SquashAtCommit)),
-    )
-    .run(&program, budget);
+    let baseline = run(None);
+    let hybrid = run(Some(PredictorKind::VtageStride));
+    let oracle = run(Some(PredictorKind::Oracle));
 
     let mut t = Table::new(vec![
         "Configuration".into(),

@@ -44,19 +44,23 @@
 //! ## Quickstart
 //!
 //! ```rust
+//! use vpsim::uarch::tap::NullSink;
 //! use vpsim::uarch::{CoreConfig, Simulator, VpConfig, RecoveryPolicy};
 //! use vpsim::core::PredictorKind;
+//! use vpsim::isa::Trace;
 //! use vpsim::workloads::microkernels;
 //!
 //! // Build a small strided-loop program and trace it.
 //! let program = microkernels::strided_loop(64, 8);
+//! let trace = Trace::capture(&program, CoreConfig::default().trace_budget(0, 100_000));
 //!
-//! // Simulate without value prediction…
-//! let base = Simulator::new(CoreConfig::default()).run(&program, 100_000);
+//! // Replay it without value prediction…
+//! let run = |config| Simulator::new(config).replay(trace.cursor(), 0, 100_000, &mut NullSink);
+//! let base = run(CoreConfig::default());
 //!
 //! // …and with a VTAGE value predictor validated at commit.
 //! let vp = VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit);
-//! let with_vp = Simulator::new(CoreConfig::default().with_vp(vp)).run(&program, 100_000);
+//! let with_vp = run(CoreConfig::default().with_vp(vp));
 //!
 //! assert!(with_vp.metrics.ipc() >= base.metrics.ipc() * 0.95);
 //! ```

@@ -3,9 +3,16 @@
 //! end to end.
 
 use vpsim::core::{ConfidenceScheme, PredictorKind};
-use vpsim::isa::{Executor, ProgramBuilder, Reg};
-use vpsim::uarch::{CoreConfig, RecoveryPolicy, Simulator, VpConfig};
+use vpsim::isa::{Executor, Program, ProgramBuilder, Reg};
+use vpsim::uarch::tap::NullSink;
+use vpsim::uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 use vpsim::workloads::{all_benchmarks, benchmark, microkernels, WorkloadParams};
+
+/// Execute `program` inline on `config`'s core: `warmup` µops unmeasured,
+/// then `measure` measured.
+fn run(config: CoreConfig, program: &Program, warmup: u64, measure: u64) -> RunResult {
+    Simulator::new(config).replay(Executor::new(program), warmup, measure, &mut NullSink)
+}
 
 fn vp_config(kind: PredictorKind, recovery: RecoveryPolicy) -> CoreConfig {
     CoreConfig::default().with_vp(VpConfig::enabled(kind, recovery))
@@ -17,8 +24,7 @@ fn every_benchmark_simulates_under_every_recovery_scheme() {
     for b in all_benchmarks() {
         let program = (b.build)(&params);
         for recovery in [RecoveryPolicy::SquashAtCommit, RecoveryPolicy::SelectiveReissue] {
-            let r = Simulator::new(vp_config(PredictorKind::VtageStride, recovery))
-                .run(&program, 20_000);
+            let r = run(vp_config(PredictorKind::VtageStride, recovery), &program, 0, 20_000);
             assert_eq!(r.metrics.instructions, 20_000, "{} under {recovery:?}", b.name);
             assert!(r.metrics.ipc() > 0.01, "{} IPC {}", b.name, r.metrics.ipc());
         }
@@ -29,9 +35,9 @@ fn every_benchmark_simulates_under_every_recovery_scheme() {
 fn simulation_is_deterministic_per_seed_across_predictors() {
     let program = (benchmark("gzip").unwrap().build)(&WorkloadParams::default());
     for kind in [PredictorKind::Lvp, PredictorKind::Vtage, PredictorKind::FcmStride] {
-        let sim = Simulator::new(vp_config(kind, RecoveryPolicy::SquashAtCommit));
-        let a = sim.run(&program, 30_000);
-        let b = sim.run(&program, 30_000);
+        let config = vp_config(kind, RecoveryPolicy::SquashAtCommit);
+        let a = run(config.clone(), &program, 0, 30_000);
+        let b = run(config, &program, 0, 30_000);
         assert_eq!(a, b, "{kind:?} must be deterministic");
     }
 }
@@ -42,11 +48,10 @@ fn oracle_dominates_every_real_predictor() {
     // same program (modulo nothing — oracle never mispredicts and always
     // covers).
     let program = microkernels::fp_reduction(128);
-    let oracle = Simulator::new(vp_config(PredictorKind::Oracle, RecoveryPolicy::SquashAtCommit))
-        .run(&program, 50_000);
+    let oracle =
+        run(vp_config(PredictorKind::Oracle, RecoveryPolicy::SquashAtCommit), &program, 0, 50_000);
     for kind in [PredictorKind::Lvp, PredictorKind::TwoDeltaStride, PredictorKind::Vtage] {
-        let real =
-            Simulator::new(vp_config(kind, RecoveryPolicy::SquashAtCommit)).run(&program, 50_000);
+        let real = run(vp_config(kind, RecoveryPolicy::SquashAtCommit), &program, 0, 50_000);
         assert!(
             real.metrics.ipc() <= oracle.metrics.ipc() * 1.01,
             "{kind:?} ({}) beat the oracle ({})",
@@ -67,10 +72,9 @@ fn vp_never_corrupts_architectural_results() {
     let program = microkernels::matmul(6);
     let functional: Vec<_> = Executor::new(&program).take(30_000).map(|d| d.seq).collect();
     assert_eq!(functional.len(), 30_000);
-    let with_vp =
-        Simulator::new(vp_config(PredictorKind::VtageStride, RecoveryPolicy::SquashAtCommit))
-            .run(&program, 30_000);
-    let without = Simulator::new(CoreConfig::default()).run(&program, 30_000);
+    let config = vp_config(PredictorKind::VtageStride, RecoveryPolicy::SquashAtCommit);
+    let with_vp = run(config, &program, 0, 30_000);
+    let without = run(CoreConfig::default(), &program, 0, 30_000);
     assert_eq!(with_vp.metrics.instructions, 30_000);
     assert_eq!(without.metrics.instructions, 30_000);
 }
@@ -79,7 +83,7 @@ fn vp_never_corrupts_architectural_results() {
 fn tight_loop_has_high_back_to_back_fraction() {
     // §3.2: the motivation for VTAGE. A 3-µop loop refetches the same PCs
     // every cycle.
-    let r = Simulator::new(CoreConfig::default()).run(&microkernels::tight_loop(), 30_000);
+    let r = run(CoreConfig::default(), &microkernels::tight_loop(), 0, 30_000);
     assert!(
         r.back_to_back.fraction() > 0.3,
         "tight loop b2b fraction {}",
@@ -91,8 +95,8 @@ fn tight_loop_has_high_back_to_back_fraction() {
 fn constant_stream_reaches_high_coverage_with_lvp() {
     // The kernel's loop has 4 eligible µops per iteration of which the
     // constant load is the LVP-predictable one: coverage ≈ 25 %.
-    let r = Simulator::new(vp_config(PredictorKind::Lvp, RecoveryPolicy::SquashAtCommit))
-        .run(&microkernels::constant_stream(), 50_000);
+    let config = vp_config(PredictorKind::Lvp, RecoveryPolicy::SquashAtCommit);
+    let r = run(config, &microkernels::constant_stream(), 0, 50_000);
     assert!(r.vp.coverage() > 0.2, "coverage {}", r.vp.coverage());
     assert!(r.vp.accuracy() > 0.999, "accuracy {}", r.vp.accuracy());
 }
@@ -100,10 +104,10 @@ fn constant_stream_reaches_high_coverage_with_lvp() {
 #[test]
 fn branch_correlated_values_need_vtage() {
     let program = microkernels::branch_correlated_values();
-    let lvp = Simulator::new(vp_config(PredictorKind::Lvp, RecoveryPolicy::SquashAtCommit))
-        .run(&program, 50_000);
-    let vtage = Simulator::new(vp_config(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit))
-        .run(&program, 50_000);
+    let lvp =
+        run(vp_config(PredictorKind::Lvp, RecoveryPolicy::SquashAtCommit), &program, 0, 50_000);
+    let vtage =
+        run(vp_config(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit), &program, 0, 50_000);
     // The alternating constant is invisible to LVP (it changes every
     // occurrence) but trivially captured by VTAGE's branch history.
     assert!(
@@ -121,14 +125,14 @@ fn fpc_squash_never_loses_badly_to_baseline_counters() {
     let params = WorkloadParams::default();
     for name in ["crafty", "gobmk", "sjeng"] {
         let program = (benchmark(name).unwrap().build)(&params);
-        let base = Simulator::new(CoreConfig::default()).run_with_warmup(&program, 10_000, 60_000);
+        let base = run(CoreConfig::default(), &program, 10_000, 60_000);
         let mk = |scheme: ConfidenceScheme| {
-            Simulator::new(CoreConfig::default().with_vp(VpConfig {
+            let config = CoreConfig::default().with_vp(VpConfig {
                 kind: PredictorKind::Vtage,
                 scheme,
                 recovery: RecoveryPolicy::SquashAtCommit,
-            }))
-            .run_with_warmup(&program, 10_000, 60_000)
+            });
+            run(config, &program, 10_000, 60_000)
         };
         let with_baseline = mk(ConfidenceScheme::baseline());
         let with_fpc = mk(ConfidenceScheme::fpc_squash());
@@ -165,21 +169,21 @@ fn squash_storms_in_tight_loops_are_survived() {
     b.blt(i, limit, top);
     b.halt();
     let program = b.build().unwrap();
-    let r = Simulator::new(CoreConfig::default().with_vp(VpConfig {
+    let config = CoreConfig::default().with_vp(VpConfig {
         kind: PredictorKind::Lvp,
         scheme: ConfidenceScheme::full(1), // hair-trigger confidence
         recovery: RecoveryPolicy::SquashAtCommit,
-    }))
-    .run(&program, 80_000);
+    });
+    let r = run(config, &program, 0, 80_000);
     assert_eq!(r.metrics.instructions, 80_000);
     assert!(r.vp_squashes > 100, "squash storm expected, got {}", r.vp_squashes);
     // And the same storm under selective reissue completes too.
-    let r2 = Simulator::new(CoreConfig::default().with_vp(VpConfig {
+    let config = CoreConfig::default().with_vp(VpConfig {
         kind: PredictorKind::Lvp,
         scheme: ConfidenceScheme::full(1),
         recovery: RecoveryPolicy::SelectiveReissue,
-    }))
-    .run(&program, 80_000);
+    });
+    let r2 = run(config, &program, 0, 80_000);
     assert_eq!(r2.metrics.instructions, 80_000);
     assert!(r2.reissued_uops > 100, "reissues expected, got {}", r2.reissued_uops);
     assert_eq!(r2.vp_squashes, 0);
@@ -188,9 +192,9 @@ fn squash_storms_in_tight_loops_are_survived() {
 #[test]
 fn pointer_chase_is_memory_bound_and_oracle_breaks_it() {
     let program = microkernels::pointer_chase(1 << 15); // 256 KB > L1D
-    let base = Simulator::new(CoreConfig::default()).run(&program, 40_000);
-    let oracle = Simulator::new(vp_config(PredictorKind::Oracle, RecoveryPolicy::SquashAtCommit))
-        .run(&program, 40_000);
+    let base = run(CoreConfig::default(), &program, 0, 40_000);
+    let oracle =
+        run(vp_config(PredictorKind::Oracle, RecoveryPolicy::SquashAtCommit), &program, 0, 40_000);
     assert!(base.metrics.ipc() < 1.0, "chase must be slow, ipc {}", base.metrics.ipc());
     assert!(
         oracle.metrics.ipc() > base.metrics.ipc() * 1.5,
@@ -202,7 +206,7 @@ fn pointer_chase_is_memory_bound_and_oracle_breaks_it() {
 
 #[test]
 fn call_ladder_exercises_ras_without_target_misses() {
-    let r = Simulator::new(CoreConfig::default()).run(&microkernels::call_ladder(), 40_000);
+    let r = run(CoreConfig::default(), &microkernels::call_ladder(), 0, 40_000);
     // Returns are perfectly RAS-predictable here.
     let mpki = r.branch.target_mispredictions as f64 * 1000.0 / r.metrics.instructions as f64;
     assert!(mpki < 1.0, "target MPKI {mpki}");

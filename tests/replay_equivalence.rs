@@ -1,6 +1,7 @@
 //! The trace layer's end-to-end guarantee: a [`RunResult`] obtained by
-//! replaying a captured trace (`Simulator::run_trace`) is **byte-identical**
-//! to the inline-`Executor` streaming path, for every `PredictorKind` ×
+//! replaying a captured trace (`Simulator::replay` over a `TraceCursor`) is
+//! **byte-identical** to the same entry point driven by the inline
+//! `Executor`, the reference path, for every `PredictorKind` ×
 //! `RecoveryPolicy` combination the workspace can instantiate, the no-VP
 //! baseline, and non-default warm-up/core sizings.
 //!
@@ -13,8 +14,9 @@
 
 use proptest::prelude::*;
 use vpsim::core::PredictorKind;
-use vpsim::isa::{ProgramBuilder, Reg, Trace};
+use vpsim::isa::{Executor, Program, ProgramBuilder, Reg, Trace};
 use vpsim::mem::{CacheConfig, MemoryConfig};
+use vpsim::uarch::tap::NullSink;
 use vpsim::uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 use vpsim::workloads::microkernels;
 
@@ -40,12 +42,16 @@ const ALL_POLICIES: [RecoveryPolicy; 2] =
 const WARMUP: u64 = 500;
 const MEASURE: u64 = 2_500;
 
-fn both_paths(config: CoreConfig, program: &vpsim::isa::Program) -> (RunResult, RunResult) {
+/// The reference path: `program` executed inline, one µop ahead of fetch.
+fn inline(sim: &Simulator, program: &Program, warmup: u64, measure: u64) -> RunResult {
+    sim.replay(Executor::new(program), warmup, measure, &mut NullSink)
+}
+
+fn both_paths(config: CoreConfig, program: &Program) -> (RunResult, RunResult) {
     let sim = Simulator::new(config);
-    let inline = sim.run_with_warmup(program, WARMUP, MEASURE);
     let trace = Trace::capture(program, sim.config().trace_budget(WARMUP, MEASURE));
-    let replayed = sim.run_trace(&trace, WARMUP, MEASURE);
-    (inline, replayed)
+    let replayed = sim.replay(trace.cursor(), WARMUP, MEASURE, &mut NullSink);
+    (inline(&sim, program, WARMUP, MEASURE), replayed)
 }
 
 #[test]
@@ -232,7 +238,7 @@ fn golden_run_results_match_pre_refactor_window() {
          # Generated by the pre-refactor scan-based window; see file header test.\n",
     );
     for (label, config, program) in golden_scenarios() {
-        let r = Simulator::new(config).run_with_warmup(&program, WARMUP, MEASURE);
+        let r = inline(&Simulator::new(config), &program, WARMUP, MEASURE);
         rendered.push_str(&format!("{label} => {r:?}\n"));
     }
     let path = golden_path();
@@ -287,9 +293,11 @@ proptest! {
         }
         .with_vp(VpConfig::enabled(kind, policy));
         let sim = Simulator::new(config);
-        let inline = sim.run_with_warmup(&program, warmup, measure);
         let trace = Trace::capture(&program, sim.config().trace_budget(warmup, measure));
-        prop_assert_eq!(inline, sim.run_trace(&trace, warmup, measure));
+        prop_assert_eq!(
+            inline(&sim, &program, warmup, measure),
+            sim.replay(trace.cursor(), warmup, measure, &mut NullSink)
+        );
     }
 }
 
@@ -306,8 +314,8 @@ fn one_shared_trace_serves_many_configurations() {
             CoreConfig::default().with_vp(VpConfig::enabled(kind, RecoveryPolicy::SquashAtCommit));
         let sim = Simulator::new(config);
         assert_eq!(
-            sim.run_trace(&trace, WARMUP, MEASURE),
-            sim.run_with_warmup(&program, WARMUP, MEASURE),
+            sim.replay(trace.cursor(), WARMUP, MEASURE, &mut NullSink),
+            inline(&sim, &program, WARMUP, MEASURE),
             "{kind:?} differs replaying the shared trace"
         );
     }

@@ -1,7 +1,7 @@
 //! The event tap's end-to-end guarantee: attaching any sink to a run is
 //! **observation only**. A [`RunResult`] produced with a live
-//! `StallTally`/`CycleLog` sink is byte-identical to the sink-free entry
-//! points for every predictor × recovery combination, under trace replay,
+//! `StallTally`/`CycleLog` sink is byte-identical to the same run with a
+//! `NullSink`, for every predictor × recovery combination, under trace replay,
 //! and across arbitrary small scenarios (property test) — including runs
 //! whose long-latency misses exercise the idle-skip fast path, which must
 //! emit batched span records without perturbing the clock.
@@ -13,9 +13,9 @@
 
 use proptest::prelude::*;
 use vpsim::core::PredictorKind;
-use vpsim::isa::{Program, Trace};
+use vpsim::isa::{Executor, Program, Trace};
 use vpsim::mem::{CacheConfig, MemoryConfig};
-use vpsim::uarch::tap::{check_conservation, CycleLog, StallTally};
+use vpsim::uarch::tap::{check_conservation, CycleLog, NullSink, StallTally};
 use vpsim::uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 use vpsim::workloads::microkernels;
 
@@ -49,10 +49,9 @@ fn tapped_matches_untapped(
     measure: u64,
 ) -> (RunResult, RunResult) {
     let sim = Simulator::new(config);
-    let untapped = sim.run_with_warmup(program, warmup, measure);
+    let untapped = sim.replay(Executor::new(program), warmup, measure, &mut NullSink);
     let mut sink = (StallTally::default(), CycleLog::with_capacity(64));
-    let tapped =
-        sim.run_source_with_sink(vpsim::isa::Executor::new(program), warmup, measure, &mut sink);
+    let tapped = sim.replay(Executor::new(program), warmup, measure, &mut sink);
     assert_eq!(untapped, tapped, "an attached sink perturbed the simulation");
     check_conservation(&tapped, &sink.0.measured())
         .unwrap_or_else(|violation| panic!("conservation broken: {violation}"));
@@ -91,9 +90,9 @@ fn tap_is_invisible_under_trace_replay() {
         .with_vp(VpConfig::enabled(PredictorKind::VtageStride, RecoveryPolicy::SquashAtCommit));
     let sim = Simulator::new(config);
     let trace = Trace::capture(&program, sim.config().trace_budget(WARMUP, MEASURE));
-    let untapped = sim.run_trace(&trace, WARMUP, MEASURE);
+    let untapped = sim.replay(trace.cursor(), WARMUP, MEASURE, &mut NullSink);
     let mut tally = StallTally::default();
-    let tapped = sim.run_trace_with_sink(&trace, WARMUP, MEASURE, &mut tally);
+    let tapped = sim.replay(trace.cursor(), WARMUP, MEASURE, &mut tally);
     assert_eq!(untapped, tapped);
     check_conservation(&tapped, &tally.measured()).unwrap();
 }
@@ -115,10 +114,9 @@ fn tap_is_invisible_and_conserves_under_idle_skip() {
     let config = CoreConfig { mem, ..CoreConfig::default() };
     let program = microkernels::pointer_chase(4096);
     let sim = Simulator::new(config.clone());
-    let untapped = sim.run_with_warmup(&program, WARMUP, MEASURE);
+    let untapped = sim.replay(Executor::new(&program), WARMUP, MEASURE, &mut NullSink);
     let mut sink = (StallTally::default(), CycleLog::with_capacity(32));
-    let tapped =
-        sim.run_source_with_sink(vpsim::isa::Executor::new(&program), WARMUP, MEASURE, &mut sink);
+    let tapped = sim.replay(Executor::new(&program), WARMUP, MEASURE, &mut sink);
     assert_eq!(untapped, tapped);
     let report = sink.0.measured();
     check_conservation(&tapped, &report).unwrap();
@@ -138,12 +136,7 @@ fn tap_is_invisible_and_conserves_under_idle_skip() {
 fn cycle_log_ring_is_bounded() {
     let program = microkernels::strided_loop(64, 8);
     let mut sink = CycleLog::with_capacity(16);
-    Simulator::new(CoreConfig::default()).run_source_with_sink(
-        vpsim::isa::Executor::new(&program),
-        0,
-        5_000,
-        &mut sink,
-    );
+    Simulator::new(CoreConfig::default()).replay(Executor::new(&program), 0, 5_000, &mut sink);
     assert_eq!(sink.len(), 16, "ring must fill to capacity and stop growing");
     assert!(sink.total_events() > 16, "the run saw more events than the ring keeps");
     let tail = sink.tail(16);
@@ -189,14 +182,9 @@ proptest! {
         }
         .with_vp(VpConfig::enabled(kind, policy));
         let sim = Simulator::new(config);
-        let untapped = sim.run_with_warmup(&program, warmup, measure);
+        let untapped = sim.replay(Executor::new(&program), warmup, measure, &mut NullSink);
         let mut sink = (StallTally::default(), CycleLog::with_capacity(32));
-        let tapped = sim.run_source_with_sink(
-            vpsim::isa::Executor::new(&program),
-            warmup,
-            measure,
-            &mut sink,
-        );
+        let tapped = sim.replay(Executor::new(&program), warmup, measure, &mut sink);
         prop_assert_eq!(untapped, tapped);
         let report = sink.0.measured();
         let conserved = check_conservation(&tapped, &report);

@@ -4,7 +4,9 @@
 //! independent runs (the whole stack is seeded and must be deterministic).
 
 use vpsim::core::PredictorKind;
-use vpsim::uarch::{CoreConfig, RecoveryPolicy, Simulator, VpConfig};
+use vpsim::isa::{Executor, Program};
+use vpsim::uarch::tap::NullSink;
+use vpsim::uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 use vpsim::workloads::microkernels;
 
 /// Every predictor the workspace can instantiate, including extension
@@ -28,6 +30,12 @@ const ALL_POLICIES: [RecoveryPolicy; 2] =
 
 const BUDGET: u64 = 3_000;
 
+/// Execute `program` inline on `config`'s core: `warmup` µops unmeasured,
+/// then `measure` measured.
+fn run(config: CoreConfig, program: &Program, warmup: u64, measure: u64) -> RunResult {
+    Simulator::new(config).replay(Executor::new(program), warmup, measure, &mut NullSink)
+}
+
 #[test]
 fn every_predictor_policy_combination_runs_and_is_deterministic() {
     // Strided loads + a loop branch exercise prediction, validation and
@@ -36,13 +44,13 @@ fn every_predictor_policy_combination_runs_and_is_deterministic() {
     for kind in ALL_KINDS {
         for policy in ALL_POLICIES {
             let config = CoreConfig::default().with_vp(VpConfig::enabled(kind, policy));
-            let first = Simulator::new(config.clone()).run(&program, BUDGET);
+            let first = run(config.clone(), &program, 0, BUDGET);
             assert_eq!(
                 first.metrics.instructions, BUDGET,
                 "{kind:?}/{policy:?} did not retire the full budget"
             );
             assert!(first.metrics.cycles > 0, "{kind:?}/{policy:?} reported a zero-cycle run");
-            let second = Simulator::new(config).run(&program, BUDGET);
+            let second = run(config, &program, 0, BUDGET);
             assert_eq!(first, second, "{kind:?}/{policy:?} is not deterministic across runs");
         }
     }
@@ -51,8 +59,8 @@ fn every_predictor_policy_combination_runs_and_is_deterministic() {
 #[test]
 fn baseline_without_vp_runs_and_is_deterministic() {
     let program = microkernels::tight_loop();
-    let first = Simulator::new(CoreConfig::default()).run(&program, BUDGET);
-    let second = Simulator::new(CoreConfig::default()).run(&program, BUDGET);
+    let first = run(CoreConfig::default(), &program, 0, BUDGET);
+    let second = run(CoreConfig::default(), &program, 0, BUDGET);
     assert_eq!(first.metrics.instructions, BUDGET);
     assert_eq!(first, second, "baseline core is not deterministic");
 }
