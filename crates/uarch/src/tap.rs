@@ -243,6 +243,32 @@ impl<A: PipeEventSink, B: PipeEventSink> PipeEventSink for (A, B) {
 /// so [`measured`](StallTally::measured) reports the post-warm-up region —
 /// aligned with the exact program point where the pipeline snapshots its
 /// own counters, which is what makes [`check_conservation`] exact.
+///
+/// # Examples
+///
+/// ```
+/// use vpsim_uarch::tap::{check_conservation, NullSink, StallTally};
+/// use vpsim_uarch::{CoreConfig, Simulator};
+/// use vpsim_isa::{Executor, ProgramBuilder, Reg};
+///
+/// let mut b = ProgramBuilder::new();
+/// let (i, n) = (Reg::int(1), Reg::int(2));
+/// b.load_imm(n, 500);
+/// let top = b.bind_label();
+/// b.addi(i, i, 1);
+/// b.blt(i, n, top);
+/// b.halt();
+/// let program = b.build()?;
+///
+/// let sim = Simulator::new(CoreConfig::default());
+/// let mut tally = StallTally::default();
+/// let result = sim.replay(Executor::new(&program), 200, 1_000, &mut tally);
+/// assert_eq!(result, sim.replay(Executor::new(&program), 200, 1_000, &mut NullSink));
+/// let report = tally.measured();
+/// assert_eq!(report.total_cycles(), result.metrics.cycles);
+/// check_conservation(&result, &report).unwrap();
+/// # Ok::<(), vpsim_isa::ProgramError>(())
+/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallTally {
     totals: StallReport,
