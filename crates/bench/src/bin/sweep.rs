@@ -260,8 +260,9 @@ fn main() -> ExitCode {
         );
         if t.sampled {
             eprintln!(
-                "sampling: {} interval(s) replayed in detail ({} µops), {} µops fast-forwarded",
-                t.intervals_replayed, t.uops, t.ff_uops,
+                "sampling: {} interval(s) replayed in detail ({} µops), {} µops fast-forwarded \
+                 (summed over cells) in {} pass(es)",
+                t.intervals_replayed, t.uops, t.ff_uops, t.ff_passes,
             );
         }
     }

@@ -59,7 +59,7 @@ use vpsim_stats::mean;
 use vpsim_stats::stall::StallReport;
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
 use vpsim_uarch::tap::{check_conservation, NullSink, StallTally};
-use vpsim_uarch::{CoreConfig, RecoveryPolicy, RunResult, VpConfig};
+use vpsim_uarch::{Checkpoint, CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 use vpsim_workloads::Benchmark;
 
 // ---------------------------------------------------------------------------
@@ -404,6 +404,10 @@ impl SweepSpec {
     /// trace is captured (or fetched from a store) once and shared across
     /// the whole grid via `Arc<Trace>`.
     ///
+    /// A sampled sweep fast-forwards each workload once: the workload's
+    /// first simulated cell takes the checkpoints, its other cells replay
+    /// their intervals from them, and its last cell frees them.
+    ///
     /// With a persistent result cache configured ([`SweepSpec::stores`]),
     /// every cell is first looked up by its canonical key
     /// ([`crate::store::cell_key`]); cached cells are never simulated —
@@ -419,6 +423,11 @@ impl SweepSpec {
             run_indexed(sim.len(), self.settings.threads, |k| prepared.run_cell(sim[k]));
             prepared.note_replay(replay_start.elapsed());
         }
+        #[cfg(test)]
+        assert!(
+            prepared.checkpoints.iter().all(|slot| slot.set.lock().unwrap().is_none()),
+            "each workload's checkpoints are freed by its last simulated cell"
+        );
         prepared.finish()
     }
 
@@ -469,6 +478,19 @@ impl SweepSpec {
             timing.captures = fresh;
             traces = prefetched;
         }
+        // A job's workload is its index modulo the benchmark count (see
+        // `PreparedSweep::run_cell`).
+        let nb = self.benches.len();
+        let checkpoints = if sampled {
+            (0..nb)
+                .map(|b| CheckpointSlot {
+                    set: Mutex::new(None),
+                    pending: AtomicUsize::new(sim.iter().filter(|&&i| i % nb == b).count()),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         PreparedSweep {
             spec: self.clone(),
             jobs,
@@ -476,9 +498,11 @@ impl SweepSpec {
             cells,
             sim,
             sampled,
+            checkpoints,
             detailed_uops: AtomicU64::new(0),
             intervals_replayed: AtomicU64::new(0),
             ff_uops: AtomicU64::new(0),
+            ff_passes: AtomicU64::new(0),
             store_base,
             replay: Mutex::new(Duration::ZERO),
             timing: Mutex::new(timing),
@@ -544,12 +568,15 @@ pub struct PreparedSweep {
     cells: Vec<Mutex<Option<RunResult>>>,
     sim: Vec<usize>,
     sampled: bool,
+    /// One fast-forward slot per benchmark (empty unless sampled).
+    checkpoints: Vec<CheckpointSlot>,
     // Sampled cells report their actual detailed/fast-forward volume,
     // accumulated from the workers as cells finish (the per-cell split
     // depends on how many intervals fit each trace).
     detailed_uops: AtomicU64,
     intervals_replayed: AtomicU64,
     ff_uops: AtomicU64,
+    ff_passes: AtomicU64,
     /// Trace-store (hits, misses) at preparation time; [`Self::timing`]
     /// reports the delta. Concurrent jobs sharing one store make the
     /// delta approximate — the counters are store-global — which is
@@ -579,8 +606,33 @@ impl PreparedSweep {
         *self.cells[index].lock().unwrap()
     }
 
-    fn run_sampled_cell(&self, trace: &Trace, config: CoreConfig) -> RunResult {
-        let sampled = self.spec.settings.run_trace_sampled(trace, config);
+    /// Sample one cell of workload `bench`. Every cell of a sweep starts
+    /// from [`SweepSpec::base_core`], so a workload's cells share the seed
+    /// and memory hierarchy the warm state depends on, and the checkpoints
+    /// the first of them takes are the ones each would take on its own.
+    fn run_sampled_cell(&self, bench: usize, config: CoreConfig) -> RunResult {
+        let settings = &self.spec.settings;
+        let (trace, slot) = (&self.traces[bench], &self.checkpoints[bench]);
+        let sample = settings.sample.unwrap_or_default();
+        let sim = Simulator::new(config);
+        // The lock is held through the pass, so the workload's other
+        // cells wait for it instead of repeating it.
+        let mut set =
+            slot.set.lock().expect("no earlier fast-forward pass of this workload panicked");
+        let checkpoints = Arc::clone(set.get_or_insert_with(|| {
+            self.ff_passes.fetch_add(1, Ordering::Relaxed);
+            Arc::new(sim.sample_checkpoints(trace, settings.warmup, settings.measure, sample))
+        }));
+        drop(set);
+        let sampled = sim
+            .run_sampled_from(trace, &checkpoints, settings.measure, sample)
+            .expect("a workload's checkpoints match its trace and every cell's geometry");
+        drop(checkpoints);
+        // The workload's last simulated cell frees its checkpoints; the
+        // others have dropped their handles by then.
+        if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            *slot.set.lock().expect("no fast-forward pass of this workload panicked") = None;
+        }
         self.detailed_uops.fetch_add(sampled.detailed_uops, Ordering::Relaxed);
         self.intervals_replayed.fetch_add(sampled.intervals_replayed(), Ordering::Relaxed);
         self.ff_uops.fetch_add(sampled.ff_uops, Ordering::Relaxed);
@@ -596,11 +648,11 @@ impl PreparedSweep {
         // Jobs are expanded benchmark-major within each grid point, so a
         // job's workload — and its shared trace — is its index modulo the
         // benchmark count.
-        let trace = &self.traces[index % self.spec.benches.len()];
+        let bench = index % self.spec.benches.len();
         let result = if self.sampled {
-            self.run_sampled_cell(trace, job.config.clone())
+            self.run_sampled_cell(bench, job.config.clone())
         } else {
-            settings.run_trace_with_sink(trace, job.config.clone(), &mut NullSink)
+            settings.run_trace_with_sink(&self.traces[bench], job.config.clone(), &mut NullSink)
         };
         if let Some(cache) = &self.spec.stores.results {
             cache.save(&cell_key(settings, job), &result);
@@ -624,6 +676,7 @@ impl PreparedSweep {
             timing.uops = self.detailed_uops.load(Ordering::Relaxed);
             timing.intervals_replayed = self.intervals_replayed.load(Ordering::Relaxed);
             timing.ff_uops = self.ff_uops.load(Ordering::Relaxed);
+            timing.ff_passes = self.ff_passes.load(Ordering::Relaxed);
         }
         if let Some(s) = self.spec.stores.traces.as_deref() {
             timing.trace_store_hits = s.hits().saturating_sub(self.store_base.0);
@@ -650,6 +703,15 @@ impl PreparedSweep {
         let points = self.spec.points().into_iter().map(|p| (p, take_suite())).collect();
         SweepResults { baseline, points, timing: self.timing() }
     }
+}
+
+/// A workload's shared fast-forward in a sampled [`PreparedSweep`].
+struct CheckpointSlot {
+    /// The workload's checkpoints: filled by its first simulated cell,
+    /// emptied by its last.
+    set: Mutex<Option<Arc<Vec<Checkpoint>>>>,
+    /// Simulated cells of the workload that have not finished.
+    pending: AtomicUsize,
 }
 
 /// One cell of a [`SweepSpec::run_stall_report`] grid: the configuration
@@ -756,9 +818,15 @@ pub struct SweepTiming {
     /// Detailed intervals replayed across every sampled cell (zero when
     /// sampling is off).
     pub intervals_replayed: u64,
-    /// µops streamed through the functional fast-forward warmer across
-    /// every sampled cell (zero when sampling is off).
+    /// Fast-forward volume summed over the sampled cells: the µops each
+    /// cell's estimate stands on, counted once per cell even though the
+    /// cells of one workload share a single pass (zero when sampling is
+    /// off).
     pub ff_uops: u64,
+    /// Fast-forward passes actually run: one per workload with at least
+    /// one simulated cell, since a workload's cells share its checkpoints
+    /// (zero when sampling is off or every cell came from the cache).
+    pub ff_passes: u64,
 }
 
 impl SweepTiming {
@@ -803,6 +871,7 @@ impl SweepTiming {
              \"trace_store_hits\": {},\n  \"trace_store_misses\": {},\n  \
              \"result_cache_hits\": {},\n  \
              \"sampled\": {},\n  \"intervals_replayed\": {},\n  \"ff_uops\": {},\n  \
+             \"ff_passes\": {},\n  \
              \"capture_seconds\": {:.6},\n  \"replay_seconds\": {:.6},\n  \
              \"total_seconds\": {:.6},\n  \"ns_per_uop\": {:.1}\n}}\n",
             self.threads,
@@ -816,6 +885,7 @@ impl SweepTiming {
             self.sampled,
             self.intervals_replayed,
             self.ff_uops,
+            self.ff_passes,
             self.capture.as_secs_f64(),
             self.replay.as_secs_f64(),
             self.total.as_secs_f64(),
@@ -1162,6 +1232,57 @@ mod tests {
         let parallel =
             SweepSpec { settings: RunSettings { threads: 4, ..settings }, ..spec.clone() }.run();
         assert_eq!(parallel.table().to_csv(), results.table().to_csv());
+    }
+
+    #[test]
+    fn sampled_sweeps_fast_forward_each_simulated_workload_once() {
+        let dir = crate::store::scratch_dir("sweep-ff-passes");
+        let settings = RunSettings {
+            warmup: 1_000,
+            measure: 8_000,
+            seed: 5,
+            sample: Some(vpsim_uarch::SampleConfig { intervals: 2, period: 2_000, warmup: 500 }),
+            ..RunSettings::default()
+        };
+        let spec = SweepSpec {
+            settings,
+            predictors: vec![PredictorKind::Lvp],
+            schemes: vec![SchemeChoice::Fpc],
+            recoveries: vec![RecoveryPolicy::SquashAtCommit, RecoveryPolicy::SelectiveReissue],
+            benches: vec![benchmark("gzip").unwrap(), benchmark("mcf").unwrap()],
+            ..SweepSpec::default()
+        };
+        // The plan picks intervals 1 and 3 of 4 (offset 5 % 2), so the
+        // last one's detailed warm-up starts at 1 000 + 3 × 2 000 − 500:
+        // every cell's estimate stands on 6 500 fast-forwarded µops.
+        const CELL_FF: u64 = 6_500;
+        let uncached = spec.run();
+        assert_eq!(uncached.timing.ff_passes, 2, "one pass per workload");
+        assert_eq!(uncached.timing.ff_uops, 6 * CELL_FF, "ff_uops stays the per-cell sum");
+        let run_in = |dir: &std::path::Path, spec: &SweepSpec| {
+            SweepSpec { stores: Stores::open(dir).unwrap(), ..spec.clone() }.run()
+        };
+        // Cache both baseline cells: every workload still has VP cells to
+        // simulate, so each still takes exactly one pass.
+        let baselines = run_in(&dir, &SweepSpec { points: Some(Vec::new()), ..spec.clone() });
+        assert_eq!(baselines.timing.ff_passes, 2);
+        let t = run_in(&dir, &spec).timing;
+        assert_eq!((t.result_cache_hits, t.ff_passes, t.ff_uops), (2, 2, 4 * CELL_FF));
+        // A workload whose every cell is cached never takes a pass.
+        let dir2 = crate::store::scratch_dir("sweep-ff-passes-partial");
+        let gzip_only = SweepSpec { benches: vec![benchmark("gzip").unwrap()], ..spec.clone() };
+        assert_eq!(run_in(&dir2, &gzip_only).timing.ff_passes, 1);
+        let partial = run_in(&dir2, &spec);
+        let t = partial.timing;
+        assert_eq!((t.result_cache_hits, t.ff_passes, t.ff_uops), (3, 1, 3 * CELL_FF));
+        assert!(t.to_json().contains("\"ff_passes\": 1"), "{}", t.to_json());
+        let cached = run_in(&dir2, &spec);
+        assert_eq!((cached.timing.ff_passes, cached.timing.ff_uops), (0, 0));
+        for results in [&partial, &cached] {
+            assert_eq!(results.table().to_csv(), uncached.table().to_csv());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir2);
     }
 
     #[test]

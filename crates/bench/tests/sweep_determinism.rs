@@ -1,12 +1,13 @@
 //! The sweep engine's core guarantee: a parallel run is **bit-identical**
 //! to a serial run of the same grid, for any worker count.
 
+use vpsim_bench::store::cell_key;
 use vpsim_bench::sweep::{SchemeChoice, SweepSpec};
-use vpsim_bench::RunSettings;
+use vpsim_bench::{RunSettings, Stores};
 use vpsim_core::PredictorKind;
 use vpsim_isa::Executor;
 use vpsim_uarch::tap::NullSink;
-use vpsim_uarch::{RecoveryPolicy, Simulator};
+use vpsim_uarch::{RecoveryPolicy, RunResult, SampleConfig, Simulator};
 use vpsim_workloads::benchmark;
 
 fn tiny() -> RunSettings {
@@ -60,4 +61,63 @@ fn engine_results_match_direct_simulator_runs() {
     let (point, suite) = &results.points[0];
     let by_hand_vp = by_hand(&spec.benches[1], s.core().with_vp(point.vp_config()));
     assert_eq!(suite.rows[1].1, by_hand_vp);
+}
+
+/// A sampled sweep fast-forwards each workload once and replays every
+/// cell from the shared checkpoints; each cell must still equal its own
+/// `Simulator::run_sampled`, at any thread count, and also when the cell
+/// that would have taken a workload's pass is served from the result
+/// cache instead.
+#[test]
+fn sampled_sweep_cells_match_per_cell_run_sampled() {
+    let spec = SweepSpec {
+        settings: RunSettings {
+            warmup: 1_000,
+            measure: 12_000,
+            seed: 3,
+            sample: Some(SampleConfig { intervals: 3, period: 2_000, warmup: 500 }),
+            ..RunSettings::default()
+        },
+        predictors: vec![PredictorKind::Lvp, PredictorKind::Vtage],
+        schemes: vec![SchemeChoice::Fpc],
+        recoveries: vec![RecoveryPolicy::SquashAtCommit, RecoveryPolicy::SelectiveReissue],
+        benches: vec![benchmark("gzip").unwrap(), benchmark("mcf").unwrap()],
+        ..SweepSpec::default()
+    };
+    let s = spec.settings;
+    let jobs = spec.expand();
+    let expected: Vec<RunResult> = jobs
+        .iter()
+        .map(|job| {
+            let trace = s.capture(&job.bench, s.trace_budget(&job.config));
+            let sim = Simulator::new(job.config.clone());
+            sim.run_sampled(&trace, s.warmup, s.measure, s.sample.unwrap()).combined()
+        })
+        .collect();
+    let cells = |spec: &SweepSpec| {
+        let r = spec.run();
+        let mut out: Vec<RunResult> = r.baseline.rows.iter().map(|(_, c)| *c).collect();
+        out.extend(r.points.iter().flat_map(|(_, suite)| suite.rows.iter().map(|(_, c)| *c)));
+        (out, r.timing)
+    };
+    for threads in [1, 3] {
+        let threaded = SweepSpec { settings: RunSettings { threads, ..s }, ..spec.clone() };
+        let (got, timing) = cells(&threaded);
+        assert_eq!(got, expected, "threads={threads}");
+        assert_eq!(timing.ff_passes, 2, "threads={threads}");
+
+        // Job 0 (gzip's baseline) is the first cell a serial run would
+        // fast-forward gzip in. Pre-seed the store with it, so one of
+        // gzip's other cells has to take the pass.
+        let dir = std::env::temp_dir()
+            .join(format!("vpsim-sampled-shared-{}-{threads}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stores = Stores::open(&dir).unwrap();
+        stores.results.as_ref().unwrap().save(&cell_key(&s, &jobs[0]), &expected[0]);
+        let (got, timing) = cells(&SweepSpec { stores, ..threaded });
+        assert_eq!(timing.result_cache_hits, 1, "threads={threads}");
+        assert_eq!(timing.ff_passes, 2, "threads={threads}");
+        assert_eq!(got, expected, "threads={threads}, pre-seeded store");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

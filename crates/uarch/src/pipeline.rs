@@ -231,9 +231,14 @@ impl Simulator {
     /// with [`SampledResult::combined`] or feed
     /// [`SampledResult::interval_cpis`] to the `vpsim-stats` estimator.
     ///
-    /// Every interval goes through a serialized [`Checkpoint`] and
-    /// [`Trace::cursor_resume`] — the exact path a persisted checkpoint
-    /// replays through later — so there is no untested fast path.
+    /// This is [`Simulator::sample_checkpoints`] followed by
+    /// [`Simulator::run_sampled_from`]. A caller that samples one trace
+    /// under several configurations with the same seed and memory
+    /// hierarchy (a sweep's cells over one workload) can take the
+    /// checkpoints once and replay each configuration from them: the
+    /// result is the same. Every interval goes through a [`Checkpoint`]
+    /// and [`Trace::cursor_resume`] — the path a persisted checkpoint
+    /// replays through — so there is no untested fast path.
     ///
     /// The trace may end before late intervals of a short workload; those
     /// intervals are skipped (reflected in
@@ -272,24 +277,24 @@ impl Simulator {
         measure: u64,
         sample: SampleConfig,
     ) -> SampledResult {
-        let plan = SamplePlan::new(warmup, measure, sample, self.config.seed);
-        let mut per_interval = Vec::new();
-        let mut detailed_uops = 0;
-        let ff_uops = self.fast_forward(trace, &plan, |cp| {
-            let res = self
-                .run_interval_from(trace, &cp, plan.measure_per_interval)
-                .expect("an in-memory checkpoint matches its own trace and config");
-            per_interval.push(res);
-            detailed_uops += cp.detailed_warmup() + plan.measure_per_interval;
-        });
-        SampledResult { per_interval, ff_uops, detailed_uops }
+        let checkpoints = self.sample_checkpoints(trace, warmup, measure, sample);
+        self.run_sampled_from(trace, &checkpoints, measure, sample)
+            .expect("checkpoints taken here match their own trace and config")
     }
 
-    /// Produce the serialized-state [`Checkpoint`]s [`Simulator::run_sampled`]
-    /// would replay from, without running any detailed interval — one
-    /// fast-forward pass over the trace. Persist them (via
-    /// [`Checkpoint::to_bytes`]) and any selected interval replays later in
-    /// O(1) seek time with [`Simulator::run_interval_from`].
+    /// The fast-forward half of [`Simulator::run_sampled`]: one functional
+    /// pass over the trace that warms the front-end structures and
+    /// captures a [`Checkpoint`] at each selected interval, without
+    /// running any detailed interval. Intervals the trace ends before are
+    /// skipped, and the pass stops at the last one it reaches. Persist the
+    /// checkpoints (via [`Checkpoint::to_bytes`]) and any selected interval
+    /// replays later in O(1) seek time with
+    /// [`Simulator::run_interval_from`].
+    ///
+    /// The checkpoints depend only on the trace, the plan (`warmup`,
+    /// `measure`, `sample` and the configuration's seed) and the memory
+    /// hierarchy; the value predictor, confidence scheme and recovery
+    /// policy play no part.
     pub fn sample_checkpoints(
         &self,
         trace: &Trace,
@@ -298,26 +303,13 @@ impl Simulator {
         sample: SampleConfig,
     ) -> Vec<Checkpoint> {
         let plan = SamplePlan::new(warmup, measure, sample, self.config.seed);
-        let mut checkpoints = Vec::new();
-        self.fast_forward(trace, &plan, |cp| checkpoints.push(cp));
-        checkpoints
-    }
-
-    /// The functional fast-forward pass behind [`Simulator::run_sampled`]
-    /// and [`Simulator::sample_checkpoints`]: warm the front-end
-    /// structures along the trace and hand `at_checkpoint` each selected
-    /// interval's [`Checkpoint`] as the pass reaches it, so a caller that
-    /// consumes them holds one at a time. Intervals past the end of the
-    /// trace are skipped. Returns the µops fast-forwarded.
-    fn fast_forward(
-        &self,
-        trace: &Trace,
-        plan: &SamplePlan,
-        mut at_checkpoint: impl FnMut(Checkpoint),
-    ) -> u64 {
         let mut warmer = Warmer::new(&self.config);
         let mut cursor = trace.cursor();
+        let mut checkpoints = Vec::new();
         for (start, dwarm) in plan.detailed_starts() {
+            if start > trace.len() as u64 {
+                break; // The trace ends before this interval: skip the rest.
+            }
             while (cursor.pos() as u64) < start {
                 match cursor.next() {
                     Some(di) => warmer.warm_uop(&di),
@@ -325,12 +317,46 @@ impl Simulator {
                 }
             }
             if (cursor.pos() as u64) < start {
-                break; // Trace exhausted before this interval: skip the rest.
+                break; // The cursor ran dry early: nothing further replays.
             }
             let (pos, payload_pos) = (cursor.pos() as u64, cursor.payload_pos() as u64);
-            at_checkpoint(Checkpoint::capture(&warmer, trace.identity(), pos, payload_pos, dwarm));
+            checkpoints.push(Checkpoint::capture(
+                &warmer,
+                trace.identity(),
+                pos,
+                payload_pos,
+                dwarm,
+            ));
         }
-        warmer.ff_uops
+        checkpoints
+    }
+
+    /// The detailed half of [`Simulator::run_sampled`]: replay the
+    /// interval of every checkpoint in `checkpoints` (as
+    /// [`Simulator::sample_checkpoints`] returned them for the same
+    /// `measure` and `sample`) with [`Simulator::run_interval_from`], and
+    /// collect the [`SampledResult`]. Its `ff_uops` is the last
+    /// checkpoint's fast-forward count.
+    ///
+    /// Fails (never panics) when `sample` is invalid or any checkpoint
+    /// fails [`Simulator::run_interval_from`]'s checks.
+    pub fn run_sampled_from(
+        &self,
+        trace: &Trace,
+        checkpoints: &[Checkpoint],
+        measure: u64,
+        sample: SampleConfig,
+    ) -> Result<SampledResult, String> {
+        sample.validate()?;
+        let period = SamplePlan::interval_len(measure, sample);
+        let mut per_interval = Vec::with_capacity(checkpoints.len());
+        let mut detailed_uops = 0;
+        for cp in checkpoints {
+            per_interval.push(self.run_interval_from(trace, cp, period)?);
+            detailed_uops += cp.detailed_warmup() + period;
+        }
+        let ff_uops = checkpoints.last().map_or(0, Checkpoint::ff_uops);
+        Ok(SampledResult { per_interval, ff_uops, detailed_uops })
     }
 
     /// Replay one detailed interval of `measure` committed µops from a

@@ -20,6 +20,15 @@
 //! with the O(1) `Trace::cursor_resume` seek, any interval can be
 //! replayed without re-streaming the trace prefix. A checkpoint records
 //! the identity of the trace it was taken on and refuses any other.
+//!
+//! A sampled run is two halves: `Simulator::sample_checkpoints` (one
+//! fast-forward pass, yielding every selected interval's checkpoint) and
+//! `Simulator::run_sampled_from` (the one interval-replay loop).
+//! `Simulator::run_sampled` composes them. The warm state depends only on
+//! the trace, the plan, the seed and the memory hierarchy — never on the
+//! value predictor, confidence scheme or recovery policy — so the sweep
+//! engine streams each workload once and shares its checkpoints across
+//! all of that workload's cells.
 
 use crate::config::CoreConfig;
 use crate::result::RunResult;
@@ -87,7 +96,7 @@ pub(crate) struct SamplePlan {
     /// First measured µop (the run-level warmup length).
     region_start: u64,
     /// Detailed measure length per interval.
-    pub(crate) measure_per_interval: u64,
+    measure_per_interval: u64,
     /// Detailed warmup requested per interval (clamped at trace start).
     detailed_warmup: u64,
     /// Selected interval indices, ascending.
@@ -102,7 +111,7 @@ impl SamplePlan {
     /// (settings, seed) always selects the same intervals.
     pub(crate) fn new(warmup: u64, measure: u64, sample: SampleConfig, seed: u64) -> SamplePlan {
         sample.validate().unwrap_or_else(|e| panic!("{e}"));
-        let period = sample.period.min(measure.max(1));
+        let period = Self::interval_len(measure, sample);
         let num_intervals = (measure / period).max(1);
         let k = sample.intervals.min(num_intervals);
         let stride = num_intervals / k;
@@ -114,6 +123,12 @@ impl SamplePlan {
             detailed_warmup: sample.warmup,
             selected,
         }
+    }
+
+    /// Measured µops per interval: the period, or the whole region when
+    /// it is shorter than one period (a single truncated interval).
+    pub(crate) fn interval_len(measure: u64, sample: SampleConfig) -> u64 {
+        sample.period.min(measure.max(1))
     }
 
     /// `(detailed_start, detailed_warmup)` per selected interval, in trace
@@ -343,7 +358,9 @@ impl Checkpoint {
 pub struct SampledResult {
     /// Detailed measurements of the selected intervals, in trace order.
     pub per_interval: Vec<RunResult>,
-    /// µops the functional warmer streamed through (fast-forward volume).
+    /// µops the functional warmer streamed through to reach the last
+    /// replayed interval (the fast-forward volume the estimate stands on;
+    /// zero when no interval replayed).
     pub ff_uops: u64,
     /// µops the cycle-accurate model replayed (per-interval detailed
     /// warm-up plus measurement, summed over the replayed intervals) —
