@@ -137,9 +137,6 @@ fn no_vp_steady_state_is_allocation_free() {
     // The inline executor writes to a fixed store footprint and the
     // machine's scratch reaches its high-water mark well inside the
     // warm-up, so the measured region must allocate nothing at all.
-    // The run goes through `NullSink`, which sets `T::ENABLED = false` and
-    // so compiles every emission site out: the disabled tap must be
-    // strictly zero-alloc too.
     let allocs = allocations_in_steady_state(CoreConfig::default(), 60_000, 60_000);
     assert_eq!(allocs, 0, "no-VP steady state must not allocate ({allocs} allocations)");
 }
@@ -157,6 +154,25 @@ fn trace_replay_steady_state_is_allocation_free() {
     assert!(disarm(), "counting must arm");
     let allocs = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(allocs, 0, "replay steady state must not allocate ({allocs} allocations)");
+}
+
+#[test]
+fn disabled_tap_steady_state_is_allocation_free() {
+    let _serial = serialize_test();
+    // `NullSink` sets `T::ENABLED = false`, which compiles every emission
+    // site out, so the disabled tap must be exactly as clean as the no-VP
+    // core. This run also passes a non-zero `warmup` to `replay`, so the
+    // counted region spans the switch from warm-up to the measured window:
+    // opening the measured window must not allocate either.
+    let program = mixed_kernel();
+    let sim = Simulator::new(CoreConfig::default());
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    let result =
+        sim.replay(Armed::new(Executor::new(&program), 30_000), 60_000, 60_000, &mut NullSink);
+    assert!(disarm(), "counting must arm");
+    let allocs = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(allocs, 0, "disabled tap must not allocate ({allocs} allocations)");
+    assert_eq!(result.metrics.instructions, 60_000, "only the measured window is counted");
 }
 
 #[test]
