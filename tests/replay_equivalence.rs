@@ -138,9 +138,9 @@ fn stressed_mem(l1d_bytes: usize, l2_bytes: usize, mshrs: usize) -> MemoryConfig
 
 /// The fixed scenario set behind the golden file: every predictor ×
 /// recovery combination, the no-VP baseline on three kernels, resized
-/// cores, and memory-stress sizings (small caches, MSHR pressure,
-/// store-heavy kernels). Labels are stable identifiers — the golden file
-/// is keyed on them.
+/// cores, memory-stress sizings (small caches, MSHR pressure,
+/// store-heavy kernels) and PRF-starved cores. Labels are stable
+/// identifiers — the golden file is keyed on them.
 fn golden_scenarios() -> Vec<(String, CoreConfig, vpsim::isa::Program)> {
     let mut out = Vec::new();
     for kind in ALL_KINDS {
@@ -219,6 +219,16 @@ fn golden_scenarios() -> Vec<(String, CoreConfig, vpsim::isa::Program)> {
                 program,
             ));
         }
+    }
+    // PRF-starved cores: 64 registers per class leave 32 renameable after
+    // the architectural reserve, so dispatch stalls on the register file
+    // (`k:matmul` and `k:chase` sizings). These are the only entries that
+    // charge `dispatch_prf_cycles`.
+    let starved = CoreConfig { int_prf: 64, fp_prf: 64, ..CoreConfig::default() };
+    for (kname, program) in
+        [("matmul", microkernels::matmul(8)), ("chase", microkernels::pointer_chase(4096))]
+    {
+        out.push((format!("prf64/novp/{kname}"), starved.clone(), program));
     }
     out
 }
