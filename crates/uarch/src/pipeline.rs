@@ -42,7 +42,7 @@
 
 use crate::config::{CoreConfig, RecoveryPolicy};
 use crate::result::{RunResult, StallBreakdown};
-use crate::sampling::{Checkpoint, SampleConfig, SamplePlan, SampledResult, Warmer};
+use crate::sampling::{Checkpoint, SampleConfig, SamplePlan, SampledResult, WarmState, Warmer};
 use crate::storesets::StoreSets;
 use crate::tap::{
     CycleCause, NullSink, Occupancy, PipeEvent, PipeEventKind, PipeEventSink, SquashCause,
@@ -51,7 +51,7 @@ use crate::window::{flag, CompletionWheel, Event, FetchB2b, Stage, Waiter, Windo
 use std::collections::VecDeque;
 use vpsim_branch::{Btb, Ras, RasCheckpoint, Tage};
 use vpsim_core::{HistoryState, PredictCtx, Predictor};
-use vpsim_isa::{DynInst, FuClass, InstSource, Opcode, RegClass, Trace};
+use vpsim_isa::{DynInst, FuClass, InstSource, Opcode, Trace};
 use vpsim_mem::MemoryHierarchy;
 
 /// Fetch-queue capacity (µops buffered between fetch and dispatch).
@@ -59,6 +59,8 @@ use vpsim_mem::MemoryHierarchy;
 /// it bounds how far fetch can run ahead of commit, and therefore how many
 /// µops a captured trace must cover to replay byte-identically.
 pub(crate) const FETCH_QUEUE: usize = 128;
+/// Physical registers per class held by architectural state, never renamed.
+const ARCH_REGS_PER_CLASS: usize = 32;
 /// Cycles without a commit after which the simulator declares a deadlock
 /// (a model bug, not a workload property).
 const DEADLOCK_LIMIT: u64 = 1_000_000;
@@ -116,6 +118,37 @@ impl FuPools {
                 None => false,
             },
         }
+    }
+}
+
+/// What stops fetch or dispatch in a cycle, named by the stall counter it
+/// charges; `fetch_blocker` and `dispatch_blocker` pick it.
+#[derive(Debug, Clone, Copy)]
+enum Blocker {
+    FetchBranch,
+    FetchRedirect,
+    FetchQueueFull,
+    DispatchRob,
+    DispatchIq,
+    DispatchLq,
+    DispatchSq,
+    DispatchPrf,
+}
+
+impl Blocker {
+    /// Charge `cycles` stalled cycles to this blocker's counter.
+    #[inline]
+    fn charge(self, stalls: &mut StallBreakdown, cycles: u64) {
+        *match self {
+            Blocker::FetchBranch => &mut stalls.fetch_branch_cycles,
+            Blocker::FetchRedirect => &mut stalls.fetch_redirect_cycles,
+            Blocker::FetchQueueFull => &mut stalls.fetch_queue_full_cycles,
+            Blocker::DispatchRob => &mut stalls.dispatch_rob_cycles,
+            Blocker::DispatchIq => &mut stalls.dispatch_iq_cycles,
+            Blocker::DispatchLq => &mut stalls.dispatch_lq_cycles,
+            Blocker::DispatchSq => &mut stalls.dispatch_sq_cycles,
+            Blocker::DispatchPrf => &mut stalls.dispatch_prf_cycles,
+        } += cycles;
     }
 }
 
@@ -221,7 +254,8 @@ impl Simulator {
         measure: u64,
         sink: &mut T,
     ) -> RunResult {
-        Machine::new(&self.config, source, sink).simulate(warmup, measure)
+        Machine::new(&self.config, source, sink, WarmState::new(&self.config))
+            .simulate(warmup, measure)
     }
 
     /// Sampled replay (see [`crate::sampling`]): run the detailed timing
@@ -382,14 +416,8 @@ impl Simulator {
             .cursor_resume(checkpoint.pos() as usize, checkpoint.payload_pos() as usize)
             .map_err(|e| e.to_string())?;
         let warm = checkpoint.restore(&self.config)?;
-        let mut sink = NullSink;
-        let mut machine = Machine::new(&self.config, cursor, &mut sink);
-        machine.tage = warm.tage;
-        machine.btb = warm.btb;
-        machine.ras = warm.ras;
-        machine.mem = warm.mem;
-        machine.fetch_hist = warm.hist;
-        Ok(machine.simulate(checkpoint.detailed_warmup(), measure))
+        Ok(Machine::new(&self.config, cursor, &mut NullSink, warm)
+            .simulate(checkpoint.detailed_warmup(), measure))
     }
 }
 
@@ -425,8 +453,8 @@ struct Machine<'a, S, T: PipeEventSink> {
     iq_used: usize,
     lq_used: usize,
     sq_used: usize,
-    int_prf_used: usize,
-    fp_prf_used: usize,
+    /// Renamed physical registers in use, indexed by `RegClass as usize`.
+    prf_used: [usize; 2],
     fu: FuPools,
     /// Retire-stage counters since construction, incremented in place by
     /// the stages. [`Machine::totals`] adds the clock and the cache
@@ -448,7 +476,8 @@ struct Machine<'a, S, T: PipeEventSink> {
 }
 
 impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
-    fn new(cfg: &'a CoreConfig, source: S, sink: &'a mut T) -> Self {
+    /// A machine at cycle 0 whose front end starts from `warm`.
+    fn new(cfg: &'a CoreConfig, source: S, sink: &'a mut T, warm: WarmState) -> Self {
         let (predictor, recovery) = match &cfg.vp {
             Some(vp) => (Some(vp.kind.build(vp.scheme.clone(), cfg.seed)), vp.recovery),
             None => (None, RecoveryPolicy::SquashAtCommit),
@@ -463,14 +492,14 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             w: Window::new(FETCH_QUEUE + cfg.rob_entries),
             wheel: CompletionWheel::new(WHEEL_HORIZON),
             b2b: FetchB2b::new(),
-            mem: MemoryHierarchy::new(cfg.mem.clone()),
-            tage: Tage::with_defaults(cfg.seed ^ 0xB4A9C),
-            btb: Btb::with_defaults(),
-            ras: Ras::with_defaults(),
+            mem: warm.mem,
+            tage: warm.tage,
+            btb: warm.btb,
+            ras: warm.ras,
             predictor,
             recovery,
             store_sets: StoreSets::new(cfg.store_set_entries),
-            fetch_hist: HistoryState::default(),
+            fetch_hist: warm.hist,
             rename: [None; vpsim_isa::NUM_ARCH_REGS],
             now: 0,
             fetch_blocked_on: None,
@@ -480,8 +509,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             iq_used: 0,
             lq_used: 0,
             sq_used: 0,
-            int_prf_used: 0,
-            fp_prf_used: 0,
+            prf_used: [0; 2],
             fu: FuPools::new(cfg),
             counters: RunResult::default(),
             last_commit_cycle: 0,
@@ -684,14 +712,14 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
     ///
     /// A cycle does work only if some stage can make progress: commit needs
     /// a completed ROB head, complete/issue need a due wheel event or a
-    /// ready µop, dispatch needs an arrived front-end µop plus free
-    /// resources, and fetch needs to be unblocked. When every stage is
-    /// blocked, the earliest cycle anything changes is bounded by the next
+    /// ready µop, and dispatch and fetch need their stage's own blocker
+    /// rule to find nothing in the way. When every stage is blocked, the
+    /// earliest cycle anything changes is bounded by the next
     /// completion-wheel event (all wakeups — completions, fills, branch
     /// resolutions — ride on it), the head front-end µop's decode exit, or
-    /// a fetch redirect's resume cycle. Skip straight there, batching the
-    /// per-cycle stall counters the skipped cycles would have incremented,
-    /// so every counter stays byte-identical to cycle-by-cycle execution.
+    /// a fetch redirect's resume cycle. Skip straight there, charging the
+    /// skipped cycles to those blockers, so every counter stays
+    /// byte-identical to cycle-by-cycle execution.
     fn idle_skip(&mut self) {
         // Commit is blocked only when a non-completed head wedges the ROB;
         // an empty window means fetch still has work, so fall through.
@@ -707,50 +735,27 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
         // The deadlock check fires after cycle `last_commit + LIMIT - 1`;
         // never skip past it so the panic reports the same cycle.
         let mut wake = self.last_commit_cycle + DEADLOCK_LIMIT - 1;
-        type Counter = fn(&mut StallBreakdown) -> &mut u64;
-        // Dispatch: blocked because the fetch queue is empty, the head
-        // front-end µop has not left decode yet, or its first structural
-        // resource is exhausted (same attribution order as `dispatch`).
-        let mut dispatch_counter: Option<Counter> = None;
+        // Dispatch: idle while the fetch queue is empty or its head has
+        // not left decode yet; otherwise only a blocker keeps it idle.
+        let mut dispatch_block = None;
         if self.fe_count > 0 {
             let i = self.w.at(self.w.len() - self.fe_count) as usize;
             if self.w.fe_exit[i] > self.now {
                 wake = wake.min(self.w.fe_exit[i]);
-            } else if self.rob_used >= self.cfg.rob_entries {
-                dispatch_counter = Some(|s| &mut s.dispatch_rob_cycles);
-            } else if self.iq_used >= self.cfg.iq_entries {
-                dispatch_counter = Some(|s| &mut s.dispatch_iq_cycles);
             } else {
-                let op = self.w.di[i].inst.op;
-                if op == Opcode::Load && self.lq_used >= self.cfg.lq_entries {
-                    dispatch_counter = Some(|s| &mut s.dispatch_lq_cycles);
-                } else if op == Opcode::Store && self.sq_used >= self.cfg.sq_entries {
-                    dispatch_counter = Some(|s| &mut s.dispatch_sq_cycles);
-                } else {
-                    match self.w.di[i].inst.dst.map(|d| d.class()) {
-                        Some(RegClass::Int) if 32 + self.int_prf_used >= self.cfg.int_prf => {
-                            dispatch_counter = Some(|s| &mut s.dispatch_prf_cycles);
-                        }
-                        Some(RegClass::Float) if 32 + self.fp_prf_used >= self.cfg.fp_prf => {
-                            dispatch_counter = Some(|s| &mut s.dispatch_prf_cycles);
-                        }
-                        _ => return, // dispatch would make progress
-                    }
+                dispatch_block = self.dispatch_blocker(i);
+                if dispatch_block.is_none() {
+                    return; // dispatch would make progress
                 }
             }
         }
-        // Fetch: same priority order as `fetch`. An unblocked front end
-        // with trace input left means the cycle is live.
-        let mut fetch_counter: Option<Counter> = None;
-        if self.fetch_blocked_on.is_some() {
-            fetch_counter = Some(|s| &mut s.fetch_branch_cycles);
-        } else if self.now < self.fetch_resume_at {
-            fetch_counter = Some(|s| &mut s.fetch_redirect_cycles);
-            wake = wake.min(self.fetch_resume_at);
-        } else if self.fe_count >= FETCH_QUEUE {
-            fetch_counter = Some(|s| &mut s.fetch_queue_full_cycles);
-        } else if !(self.source_done && self.refetch.is_empty()) {
-            return; // fetch would make progress
+        // Fetch: an unblocked front end with trace input left means the
+        // cycle is live. Only a redirect ends at a known cycle.
+        let fetch_block = self.fetch_blocker();
+        match fetch_block {
+            Some(Blocker::FetchRedirect) => wake = wake.min(self.fetch_resume_at),
+            None if !(self.source_done && self.refetch.is_empty()) => return,
+            _ => {}
         }
         if let Some(due) = self.wheel.next_due_at_or_after(self.now) {
             wake = wake.min(due);
@@ -760,11 +765,11 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
         }
         let skipped = wake - self.now;
         self.counters.stalls.commit_idle_cycles += skipped;
-        if let Some(c) = dispatch_counter {
-            *c(&mut self.counters.stalls) += skipped;
+        if let Some(block) = dispatch_block {
+            block.charge(&mut self.counters.stalls, skipped);
         }
-        if let Some(c) = fetch_counter {
-            *c(&mut self.counters.stalls) += skipped;
+        if let Some(block) = fetch_block {
+            block.charge(&mut self.counters.stalls, skipped);
         }
         if T::ENABLED {
             // One batched attribution record for the whole span: no state
@@ -792,21 +797,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             let i = idx as usize;
             let seq = self.w.di[i].seq;
             self.last_commit_cycle = self.now;
-            self.rob_used -= 1;
-            if self.w.flag(idx, flag::IQ_HELD) {
-                self.iq_used -= 1;
-            }
-            if self.w.flag(idx, flag::LQ_HELD) {
-                self.lq_used -= 1;
-            }
-            if self.w.flag(idx, flag::SQ_HELD) {
-                self.sq_used -= 1;
-            }
-            match self.w.prf_class[i] {
-                Some(RegClass::Int) => self.int_prf_used -= 1,
-                Some(RegClass::Float) => self.fp_prf_used -= 1,
-                None => {}
-            }
+            self.release_resources(idx);
             // Only this µop's destination can map to it (set at dispatch),
             // so the rename release is a single-slot check, not a scan.
             if let Some(d) = self.w.di[i].inst.dst {
@@ -1288,6 +1279,30 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
 
     // ----- dispatch (rename) stage -----
 
+    /// The first structural resource, in attribution order, that keeps the
+    /// front-end µop in slot `i` from dispatching: ROB, IQ, then the LQ or
+    /// SQ of a load or store, then its destination's register file.
+    #[inline]
+    fn dispatch_blocker(&self, i: usize) -> Option<Blocker> {
+        let op = self.w.di[i].inst.op;
+        if self.rob_used >= self.cfg.rob_entries {
+            Some(Blocker::DispatchRob)
+        } else if self.iq_used >= self.cfg.iq_entries {
+            Some(Blocker::DispatchIq)
+        } else if op == Opcode::Load && self.lq_used >= self.cfg.lq_entries {
+            Some(Blocker::DispatchLq)
+        } else if op == Opcode::Store && self.sq_used >= self.cfg.sq_entries {
+            Some(Blocker::DispatchSq)
+        } else {
+            let full = self.w.di[i].inst.dst.is_some_and(|d| {
+                let class = d.class() as usize;
+                ARCH_REGS_PER_CLASS + self.prf_used[class]
+                    >= [self.cfg.int_prf, self.cfg.fp_prf][class]
+            });
+            full.then_some(Blocker::DispatchPrf)
+        }
+    }
+
     /// In-order dispatch straight from the front-end region: the
     /// front-end µops are exactly the youngest `fe_count` entries of the
     /// ROB order ring, so dispatch starts there instead of skipping over
@@ -1306,36 +1321,12 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             if self.w.fe_exit[i] > self.now {
                 break; // in-order front-end: younger µops are even later
             }
-            // Structural resources (attribute the first blocker per cycle).
-            if self.rob_used >= self.cfg.rob_entries {
-                self.counters.stalls.dispatch_rob_cycles += 1;
-                break;
-            }
-            if self.iq_used >= self.cfg.iq_entries {
-                self.counters.stalls.dispatch_iq_cycles += 1;
+            if let Some(block) = self.dispatch_blocker(i) {
+                block.charge(&mut self.counters.stalls, 1);
                 break;
             }
             let op = self.w.di[i].inst.op;
-            if op == Opcode::Load && self.lq_used >= self.cfg.lq_entries {
-                self.counters.stalls.dispatch_lq_cycles += 1;
-                break;
-            }
-            if op == Opcode::Store && self.sq_used >= self.cfg.sq_entries {
-                self.counters.stalls.dispatch_sq_cycles += 1;
-                break;
-            }
             let dst_class = self.w.di[i].inst.dst.map(|d| d.class());
-            match dst_class {
-                Some(RegClass::Int) if 32 + self.int_prf_used >= self.cfg.int_prf => {
-                    self.counters.stalls.dispatch_prf_cycles += 1;
-                    break;
-                }
-                Some(RegClass::Float) if 32 + self.fp_prf_used >= self.cfg.fp_prf => {
-                    self.counters.stalls.dispatch_prf_cycles += 1;
-                    break;
-                }
-                _ => {}
-            }
             // Rename.
             let seq = self.w.di[i].seq;
             let sources = self.w.di[i].inst.source_pair();
@@ -1359,10 +1350,8 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
                 self.sq_used += 1;
                 self.w.lfst_slot[i] = self.store_sets.store_dispatched(pc, seq);
             }
-            match dst_class {
-                Some(RegClass::Int) => self.int_prf_used += 1,
-                Some(RegClass::Float) => self.fp_prf_used += 1,
-                None => {}
+            if let Some(class) = dst_class {
+                self.prf_used[class as usize] += 1;
             }
             self.rob_used += 1;
             self.iq_used += 1;
@@ -1406,17 +1395,25 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
         }
     }
 
-    fn fetch(&mut self) {
+    /// What keeps fetch idle this cycle, in attribution order: an
+    /// unresolved mispredicted branch, then a redirect (squash or
+    /// instruction-cache miss) not yet resumed, then a full fetch queue.
+    #[inline]
+    fn fetch_blocker(&self) -> Option<Blocker> {
         if self.fetch_blocked_on.is_some() {
-            self.counters.stalls.fetch_branch_cycles += 1;
-            return;
+            Some(Blocker::FetchBranch)
+        } else if self.now < self.fetch_resume_at {
+            Some(Blocker::FetchRedirect)
+        } else if self.fe_count >= FETCH_QUEUE {
+            Some(Blocker::FetchQueueFull)
+        } else {
+            None
         }
-        if self.now < self.fetch_resume_at {
-            self.counters.stalls.fetch_redirect_cycles += 1;
-            return;
-        }
-        if self.fe_count >= FETCH_QUEUE {
-            self.counters.stalls.fetch_queue_full_cycles += 1;
+    }
+
+    fn fetch(&mut self) {
+        if let Some(block) = self.fetch_blocker() {
+            block.charge(&mut self.counters.stalls, 1);
             return;
         }
         let mut fetched = 0usize;
@@ -1425,8 +1422,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             let Some(di) = self.next_trace_inst() else { break };
             // Instruction cache.
             let iready = self.mem.fetch_inst(di.pc, self.now);
-            let l1i_latency = 2;
-            if iready > self.now + l1i_latency {
+            if iready > self.now + self.cfg.mem.l1i.latency {
                 // Miss: this µop retries when the line arrives.
                 self.refetch.push_front(di);
                 self.fetch_resume_at = iready;
@@ -1506,6 +1502,27 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
         }
     }
 
+    // ----- resource release -----
+
+    /// Free what a µop leaving the window (by commit or squash) holds: a
+    /// fetch-queue slot, or its ROB entry and the IQ, LQ, SQ and PRF
+    /// entries it still holds from dispatch.
+    #[inline]
+    fn release_resources(&mut self, idx: u32) {
+        let i = idx as usize;
+        if self.w.state[i] == Stage::FrontEnd {
+            self.fe_count -= 1;
+            return;
+        }
+        self.rob_used -= 1;
+        self.iq_used -= self.w.flag(idx, flag::IQ_HELD) as usize;
+        self.lq_used -= self.w.flag(idx, flag::LQ_HELD) as usize;
+        self.sq_used -= self.w.flag(idx, flag::SQ_HELD) as usize;
+        if let Some(class) = self.w.prf_class[i] {
+            self.prf_used[class as usize] -= 1;
+        }
+    }
+
     // ----- squash -----
 
     /// Remove every µop younger than `boundary` from the window, queue them
@@ -1534,26 +1551,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
                 }
                 squashed += 1;
             }
-            match self.w.state[i] {
-                Stage::FrontEnd => self.fe_count -= 1,
-                _ => {
-                    self.rob_used -= 1;
-                    if self.w.flag(idx, flag::IQ_HELD) {
-                        self.iq_used -= 1;
-                    }
-                    if self.w.flag(idx, flag::LQ_HELD) {
-                        self.lq_used -= 1;
-                    }
-                    if self.w.flag(idx, flag::SQ_HELD) {
-                        self.sq_used -= 1;
-                    }
-                    match self.w.prf_class[i] {
-                        Some(RegClass::Int) => self.int_prf_used -= 1,
-                        Some(RegClass::Float) => self.fp_prf_used -= 1,
-                        None => {}
-                    }
-                }
-            }
+            self.release_resources(idx);
             self.refetch.push_front(self.w.di[i]);
             self.w.release(idx);
         }
@@ -1917,7 +1915,7 @@ mod tests {
         let p = counted_loop(100, 2);
         let cfg = CoreConfig::default();
         let mut sink = NullSink;
-        let mut m = Machine::new(&cfg, Executor::new(&p), &mut sink);
+        let mut m = Machine::new(&cfg, Executor::new(&p), &mut sink, WarmState::new(&cfg));
         for _ in 0..300 {
             m.fetch();
             m.now += 1;
@@ -1943,7 +1941,7 @@ mod tests {
         let cfg = CoreConfig::default();
         let mut log = crate::tap::CycleLog::with_capacity(256);
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut m = Machine::new(&cfg, Executor::new(&p), &mut log);
+            let mut m = Machine::new(&cfg, Executor::new(&p), &mut log, WarmState::new(&cfg));
             m.fetch_blocked_on = Some(u64::MAX);
             m.simulate(0, 100)
         }))

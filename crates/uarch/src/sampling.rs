@@ -1,7 +1,7 @@
 //! Interval sampling with checkpointed fast-forward (the SMARTS/SimPoint
 //! discipline adapted to the trace layer).
 //!
-//! A full detailed replay costs ~330 ns/µop; grid studies over long traces
+//! A full detailed replay is expensive, and grid studies over long traces
 //! only need *relative* IPC across predictor/recovery cells. Sampled mode
 //! partitions the measured region of a captured trace into fixed-size
 //! intervals of [`SampleConfig::period`] µops, deterministically selects
@@ -145,79 +145,33 @@ impl SamplePlan {
     }
 }
 
-/// Functional-only warmer: streams trace records between sampled
-/// intervals, updating exactly the long-lived structures — TAGE, BTB,
-/// RAS, global branch/path history, and cache tags/LRU/dirty bits — with
-/// no cycle-accurate timing. ~6× cheaper per µop than the detailed model
-/// (TAGE training dominates what remains).
+/// The long-lived front-end structures a detailed machine starts from:
+/// cold for a full replay, warmed by the `Warmer` and restored from a
+/// [`Checkpoint`] for a sampled interval.
 #[derive(Debug, Clone)]
-pub(crate) struct Warmer {
-    tage: Tage,
-    btb: Btb,
-    ras: Ras,
-    mem: MemoryHierarchy,
-    hist: HistoryState,
-    /// µops processed functionally so far.
-    pub(crate) ff_uops: u64,
+pub(crate) struct WarmState {
+    pub(crate) tage: Tage,
+    pub(crate) btb: Btb,
+    pub(crate) ras: Ras,
+    pub(crate) mem: MemoryHierarchy,
+    pub(crate) hist: HistoryState,
 }
 
-impl Warmer {
-    /// Fresh warm state for `cfg` — identical construction to the detailed
-    /// machine's front end, so a checkpoint restores into a compatible
-    /// geometry.
+impl WarmState {
+    /// The cold front end for `cfg`, built here only, so a full replay, the
+    /// warmer and a restored checkpoint share its seed and geometry.
     pub(crate) fn new(cfg: &CoreConfig) -> Self {
-        Warmer {
+        WarmState {
             tage: Tage::with_defaults(cfg.seed ^ 0xB4A9C),
             btb: Btb::with_defaults(),
             ras: Ras::with_defaults(),
             mem: MemoryHierarchy::new(cfg.mem.clone()),
             hist: HistoryState::default(),
-            ff_uops: 0,
         }
     }
 
-    /// Process one trace record: the same predictor/history updates the
-    /// detailed fetch and commit stages perform, collapsed to their
-    /// committed-path effect (fused predict+train, so the in-flight queue
-    /// stays empty and every point is a checkpoint boundary).
-    pub(crate) fn warm_uop(&mut self, di: &DynInst) {
-        self.ff_uops += 1;
-        self.mem.warm_fetch(di.pc);
-        let op = di.inst.op;
-        if op.is_cond_branch() {
-            // Fused predict+train: state-identical to the detailed model's
-            // fetch-predict / commit-train pair on the committed path,
-            // without the in-flight queue round-trip.
-            self.tage.train_committed(di.pc, di.taken, &self.hist);
-            self.hist.push_branch(di.pc, di.taken);
-        } else if op.is_control() {
-            match op {
-                Opcode::Call => self.ras.push(di.pc + 4),
-                Opcode::Ret => {
-                    self.ras.pop();
-                }
-                Opcode::JumpInd => self.btb.update(di.pc, di.next_pc),
-                _ => {}
-            }
-            self.hist.push_path(di.pc);
-        }
-        match op {
-            Opcode::Load => {
-                if let Some(addr) = di.mem_addr {
-                    self.mem.warm_load(addr);
-                }
-            }
-            Opcode::Store => {
-                if let Some(addr) = di.mem_addr {
-                    self.mem.warm_store(addr);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Serialize the warm structures in checkpoint section order.
-    fn state_bytes(&self) -> Vec<u8> {
+    /// Serialize in [`Checkpoint::restore`]'s load order.
+    fn to_bytes(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.u64(self.hist.ghist as u64);
         w.u64((self.hist.ghist >> 64) as u64);
@@ -230,15 +184,62 @@ impl Warmer {
     }
 }
 
-/// The warm structures a detailed interval machine starts from —
-/// deserialized from a [`Checkpoint`] and installed over a freshly
-/// constructed machine's front end.
-pub(crate) struct WarmState {
-    pub(crate) tage: Tage,
-    pub(crate) btb: Btb,
-    pub(crate) ras: Ras,
-    pub(crate) mem: MemoryHierarchy,
-    pub(crate) hist: HistoryState,
+/// Functional-only warmer: streams trace records between sampled
+/// intervals, updating a [`WarmState`] with no cycle-accurate timing, at
+/// about 71 ns/µop (`uarch.ff_ns_per_uop` in `BENCH_sampled_ff.json`).
+#[derive(Debug, Clone)]
+pub(crate) struct Warmer {
+    state: WarmState,
+    /// µops processed functionally so far.
+    pub(crate) ff_uops: u64,
+}
+
+impl Warmer {
+    /// A warmer over `cfg`'s cold front end.
+    pub(crate) fn new(cfg: &CoreConfig) -> Self {
+        Warmer { state: WarmState::new(cfg), ff_uops: 0 }
+    }
+
+    /// Process one trace record: the same predictor/history updates the
+    /// detailed fetch and commit stages perform, collapsed to their
+    /// committed-path effect (fused predict+train, so the in-flight queue
+    /// stays empty and every point is a checkpoint boundary).
+    pub(crate) fn warm_uop(&mut self, di: &DynInst) {
+        self.ff_uops += 1;
+        let s = &mut self.state;
+        s.mem.warm_fetch(di.pc);
+        let op = di.inst.op;
+        if op.is_cond_branch() {
+            // Fused predict+train: state-identical to the detailed model's
+            // fetch-predict / commit-train pair on the committed path,
+            // without the in-flight queue round-trip.
+            s.tage.train_committed(di.pc, di.taken, &s.hist);
+            s.hist.push_branch(di.pc, di.taken);
+        } else if op.is_control() {
+            match op {
+                Opcode::Call => s.ras.push(di.pc + 4),
+                Opcode::Ret => {
+                    s.ras.pop();
+                }
+                Opcode::JumpInd => s.btb.update(di.pc, di.next_pc),
+                _ => {}
+            }
+            s.hist.push_path(di.pc);
+        }
+        match op {
+            Opcode::Load => {
+                if let Some(addr) = di.mem_addr {
+                    s.mem.warm_load(addr);
+                }
+            }
+            Opcode::Store => {
+                if let Some(addr) = di.mem_addr {
+                    s.mem.warm_store(addr);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// A serializable microarchitectural checkpoint: the trace coordinates at
@@ -271,7 +272,7 @@ impl Checkpoint {
             ff_uops: warmer.ff_uops,
             detailed_warmup,
             trace,
-            state: warmer.state_bytes(),
+            state: warmer.state.to_bytes(),
         }
     }
 
@@ -301,24 +302,21 @@ impl Checkpoint {
         self.detailed_warmup
     }
 
-    /// Rebuild the warm structures for `cfg`. Fails with a message (never
-    /// a panic) when the state blob does not match `cfg`'s geometry.
+    /// Load the warm structures into `cfg`'s cold front end. Fails with a
+    /// message (never a panic) when the blob does not match its geometry.
     pub(crate) fn restore(&self, cfg: &CoreConfig) -> Result<WarmState, String> {
+        let mut warm = WarmState::new(cfg);
         let mut r = StateReader::new(&self.state);
         let ghist_lo = r.u64()?;
         let ghist_hi = r.u64()?;
         let path = r.u64()?;
-        let hist = HistoryState { ghist: (ghist_hi as u128) << 64 | ghist_lo as u128, path };
-        let mut tage = Tage::with_defaults(cfg.seed ^ 0xB4A9C);
-        tage.load_state(&mut r)?;
-        let mut btb = Btb::with_defaults();
-        btb.load_state(&mut r)?;
-        let mut ras = Ras::with_defaults();
-        ras.load_state(&mut r)?;
-        let mut mem = MemoryHierarchy::new(cfg.mem.clone());
-        mem.load_warm_state(&mut r)?;
+        warm.hist = HistoryState { ghist: (ghist_hi as u128) << 64 | ghist_lo as u128, path };
+        warm.tage.load_state(&mut r)?;
+        warm.btb.load_state(&mut r)?;
+        warm.ras.load_state(&mut r)?;
+        warm.mem.load_warm_state(&mut r)?;
         r.finish()?;
-        Ok(WarmState { tage, btb, ras, mem, hist })
+        Ok(warm)
     }
 
     /// Serialize into a `vpstate2` frame of two sections: the coordinates,
@@ -494,7 +492,7 @@ mod tests {
         }
         let cp = Checkpoint::capture(&warmer, [1_000, 0, 64], 1_000, 0, 500);
         let restored = cp.restore(&cfg).unwrap();
-        assert_eq!(restored.hist, warmer.hist);
+        assert_eq!(restored.hist, warmer.state.hist);
         assert_eq!(cp.ff_uops(), 1_000);
         assert_eq!(cp.detailed_warmup(), 500);
     }

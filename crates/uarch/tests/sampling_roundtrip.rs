@@ -1,16 +1,21 @@
-//! Checkpoint serialization property: replaying a detailed interval from
-//! a checkpoint that went through `to_bytes` → `from_bytes` is
+//! Checkpoint round trips: replaying a detailed interval from a
+//! checkpoint that went through `to_bytes` → `from_bytes` is
 //! byte-identical to replaying from the original in-memory checkpoint —
 //! for every predictor kind and recovery policy the simulator supports;
-//! and a checkpoint is never resumed on a trace it was not taken on.
+//! a checkpoint is never resumed on a trace it was not taken on; and a
+//! plan of one interval that spans the whole run replays exactly what a
+//! full replay does.
 //!
-//! This is the guarantee the sweep-as-a-service layer leans on when it
-//! persists `vpstate2` checkpoints and replays intervals in a different
-//! process: serialization must never perturb a result.
+//! Nothing persists checkpoints yet: every sampled run restores its
+//! intervals from in-memory checkpoints, through the same state blob
+//! `to_bytes` writes. These tests guard that the blob loses nothing a
+//! replay depends on, and that the cold front end a restored interval
+//! starts from is the one a full replay starts from.
 
 use proptest::prelude::*;
 use vpsim_core::PredictorKind;
 use vpsim_isa::{ProgramBuilder, Reg, Trace};
+use vpsim_uarch::tap::NullSink;
 use vpsim_uarch::{Checkpoint, CoreConfig, RecoveryPolicy, SampleConfig, Simulator, VpConfig};
 
 /// An endless loop exercising every structure the warmer checkpoints:
@@ -137,5 +142,34 @@ fn checkpoints_refuse_a_different_trace() {
         );
         let err = sim.run_interval_from(&other, &revived, 1_000).unwrap_err();
         assert!(err.contains("different trace"), "{err}");
+    }
+}
+
+/// A plan of one interval as long as the measured region, with a detailed
+/// warm-up at least as long as the run's, places its checkpoint at the
+/// trace head before any fast-forward: the interval is the whole run,
+/// started from a restored cold front end. It must equal a full replay,
+/// for every predictor and recovery policy and for the baseline.
+#[test]
+fn one_interval_plan_equals_full_replay() {
+    let (warmup, measure) = (2_000, 8_000);
+    let bench = vpsim_workloads::workload("gzip").expect("registry workload");
+    let program = (bench.build)(&vpsim_workloads::WorkloadParams::default());
+    let trace = Trace::capture(&program, CoreConfig::default().trace_budget(warmup, measure));
+    let sample = SampleConfig { intervals: 1, period: measure, warmup };
+    let mut configs = vec![CoreConfig::default()];
+    for kind in PredictorKind::ALL {
+        for recovery in [RecoveryPolicy::SquashAtCommit, RecoveryPolicy::SelectiveReissue] {
+            configs.push(CoreConfig::default().with_vp(VpConfig::enabled(kind, recovery)));
+        }
+    }
+    for config in configs {
+        let label = format!("{:?}", config.vp.as_ref().map(|vp| (vp.kind, vp.recovery)));
+        let sim = Simulator::new(config);
+        let sampled = sim.run_sampled(&trace, warmup, measure, sample);
+        let full = sim.replay(trace.cursor(), warmup, measure, &mut NullSink);
+        assert_eq!(full.metrics.instructions, measure, "{label}");
+        assert_eq!(sampled.per_interval, vec![full], "{label}");
+        assert_eq!(sampled.ff_uops, 0, "{label}: the checkpoint sits at the trace head");
     }
 }

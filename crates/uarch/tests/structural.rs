@@ -4,6 +4,7 @@
 
 use vpsim_core::PredictorKind;
 use vpsim_isa::{Executor, Program, ProgramBuilder, Reg};
+use vpsim_mem::{CacheConfig, MemoryConfig};
 use vpsim_uarch::tap::NullSink;
 use vpsim_uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 
@@ -268,6 +269,22 @@ fn icache_miss_stalls_cold_fetch() {
     let p = b.build().unwrap();
     let r = run(CoreConfig::default(), &p, 0, 5_000);
     assert!(r.l1i.misses > 30, "cold straight-line code must miss L1I: {}", r.l1i.misses);
+}
+
+#[test]
+fn fetch_honours_a_slower_l1i_hit() {
+    // Fetch tells an L1I hit from a miss by the configured hit latency.
+    // Were it to assume a faster hit, every hit would read as a miss that
+    // retries on a line that is already there, and nothing would commit.
+    let mem = MemoryConfig {
+        l1i: CacheConfig { latency: 3, ..CacheConfig::l1i() },
+        ..MemoryConfig::default()
+    };
+    let p = parallel_loop(4, |b, r| {
+        b.addi(r, r, 1);
+    });
+    let r = run(CoreConfig { mem, ..CoreConfig::default() }, &p, 0, 10_000);
+    assert_eq!(r.metrics.instructions, 10_000);
 }
 
 #[test]
