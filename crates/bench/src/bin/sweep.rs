@@ -74,17 +74,16 @@
 //! ```
 
 use std::process::ExitCode;
-use vpsim_bench::protocol::{Format, View};
+use vpsim_bench::protocol::{render_output, render_table, Format, View};
 use vpsim_bench::remote;
 use vpsim_bench::scenario::{presets, resolve_cli_base, Scenario};
 use vpsim_bench::store::Stores;
 
 struct Options {
     scenario: Scenario,
-    matrix: bool,
+    view: View,
+    format: Format,
     stall_report: bool,
-    csv: bool,
-    json: bool,
     dump: bool,
     list_presets: bool,
     timing_json: Option<String>,
@@ -98,10 +97,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     // --threads flag still overrides this).
     base.settings.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (mut scenario, rest, _) = resolve_cli_base(base, args)?;
-    let mut matrix = false;
+    let mut view = View::Long;
+    let mut format = Format::Ascii;
     let mut stall_report = false;
-    let mut csv = false;
-    let mut json = false;
     let mut dump = false;
     let mut list_presets = false;
     let mut timing_json = None;
@@ -114,10 +112,15 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         };
         match arg.as_str() {
             "--set" => scenario.set(val()?)?,
-            "--matrix" => matrix = true,
+            "--matrix" => view = View::Matrix,
             "--stall-report" => stall_report = true,
-            "--csv" => csv = true,
-            "--json" => json = true,
+            "--csv" | "--json" => {
+                let chosen = if arg == "--csv" { Format::Csv } else { Format::Json };
+                if format != Format::Ascii && format != chosen {
+                    return Err("--csv and --json are mutually exclusive".into());
+                }
+                format = chosen;
+            }
             "--dump-scenario" => dump = true,
             "--list-presets" => list_presets = true,
             "--sample" => scenario.apply("sample", "on")?,
@@ -132,14 +135,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
-    if stall_report && matrix {
+    if stall_report && view == View::Matrix {
         return Err("--stall-report prints per-cell attribution; --matrix does not apply".into());
     }
     if stall_report && timing_json.is_some() {
         return Err("--stall-report runs do not produce a --timing-json record".into());
-    }
-    if csv && json {
-        return Err("--csv and --json are mutually exclusive".into());
     }
     if remote.is_some() {
         if stall_report {
@@ -155,26 +155,15 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     scenario.validate()?;
     Ok(Options {
         scenario,
-        matrix,
+        view,
+        format,
         stall_report,
-        csv,
-        json,
         dump,
         list_presets,
         timing_json,
         store,
         remote,
     })
-}
-
-fn render(table: &vpsim_stats::table::Table, o: &Options) -> String {
-    if o.csv {
-        table.to_csv()
-    } else if o.json {
-        table.to_json()
-    } else {
-        table.to_ascii()
-    }
 }
 
 fn main() -> ExitCode {
@@ -198,16 +187,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if let Some(addr) = &options.remote {
-        let view = if options.matrix { View::Matrix } else { View::Long };
-        let format = if options.csv {
-            Format::Csv
-        } else if options.json {
-            Format::Json
-        } else {
-            Format::Ascii
-        };
         let progress = |cell: &str| eprintln!("{cell}");
-        return match remote::submit(addr, &options.scenario, view, format, progress) {
+        return match remote::submit(addr, &options.scenario, options.view, options.format, progress)
+        {
             Ok(outcome) => {
                 print!("{}", outcome.table);
                 if !outcome.stats.is_empty() {
@@ -233,14 +215,12 @@ fn main() -> ExitCode {
     }
     if options.stall_report {
         let results = spec.run_stall_report();
-        print!("{}", render(&results.table(), &options));
+        print!("{}", render_table(&results.table(), options.format));
         return ExitCode::SUCCESS;
     }
     let results = spec.run();
-    let table = if options.matrix { results.matrix() } else { results.table() };
-    if options.csv || options.json {
-        print!("{}", render(&table, &options));
-    } else {
+    let ascii = options.format == Format::Ascii;
+    if ascii {
         eprintln!(
             "{} runs ({} benchmark(s) x {} grid point(s) + baseline) on {} thread(s)",
             spec.job_count(),
@@ -248,7 +228,9 @@ fn main() -> ExitCode {
             spec.points().len(),
             spec.settings.threads,
         );
-        println!("{table}");
+    }
+    print!("{}", render_output(&results, options.view, options.format));
+    if ascii {
         let t = &results.timing;
         eprintln!(
             "wall-clock: {:.2}s total ({:.2}s capture of {} trace(s), {:.2}s replay, {:.0} ns/µop)",

@@ -42,6 +42,7 @@
 use std::io::{self, BufRead, Read};
 
 use crate::sweep::{SweepJob, SweepResults, SweepTiming};
+use vpsim_stats::table::Table;
 use vpsim_uarch::RunResult;
 
 /// Table orientation of a submission.
@@ -242,14 +243,20 @@ pub fn err_line(msg: &str) -> String {
 }
 
 /// Render a submission's final table exactly as a local `sweep` run
-/// prints it to stdout: `to_csv()`/`to_json()` verbatim for those
-/// formats, and the aligned text plus the `println!` newline for ascii —
-/// so `sweep --remote` output is byte-identical to local output.
+/// prints it to stdout (see [`render_table`]), so `sweep --remote` output
+/// is byte-identical to local output.
 pub fn render_output(results: &SweepResults, view: View, format: Format) -> String {
     let table = match view {
         View::Long => results.table(),
         View::Matrix => results.matrix(),
     };
+    render_table(&table, format)
+}
+
+/// The one text rendering of a `sweep` table, local or remote:
+/// `to_csv()`/`to_json()` verbatim for those formats, and the aligned
+/// text plus a closing newline for ascii.
+pub fn render_table(table: &Table, format: Format) -> String {
     match format {
         Format::Ascii => format!("{table}\n"),
         Format::Csv => table.to_csv(),

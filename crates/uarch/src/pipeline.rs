@@ -274,9 +274,10 @@ impl Simulator {
     /// and [`Trace::cursor_resume`] — the path a persisted checkpoint
     /// replays through — so there is no untested fast path.
     ///
-    /// The trace may end before late intervals of a short workload; those
-    /// intervals are skipped (reflected in
-    /// [`SampledResult::intervals_replayed`]).
+    /// Intervals the trace does not hold in full (the late ones of a
+    /// program that halts early) are skipped, reflected in
+    /// [`SampledResult::intervals_replayed`], so every replayed interval
+    /// measures the same number of µops.
     ///
     /// # Examples
     ///
@@ -319,8 +320,9 @@ impl Simulator {
     /// The fast-forward half of [`Simulator::run_sampled`]: one functional
     /// pass over the trace that warms the front-end structures and
     /// captures a [`Checkpoint`] at each selected interval, without
-    /// running any detailed interval. Intervals the trace ends before are
-    /// skipped, and the pass stops at the last one it reaches. Persist the
+    /// running any detailed interval. Only intervals whose detailed warmup
+    /// and measurement both lie inside the trace are kept; the pass stops
+    /// at the first that does not. Persist the
     /// checkpoints (via [`Checkpoint::to_bytes`]) and any selected interval
     /// replays later in O(1) seek time with
     /// [`Simulator::run_interval_from`].
@@ -339,19 +341,15 @@ impl Simulator {
         let plan = SamplePlan::new(warmup, measure, sample, self.config.seed);
         let mut warmer = Warmer::new(&self.config);
         let mut cursor = trace.cursor();
+        let period = SamplePlan::interval_len(measure, sample);
         let mut checkpoints = Vec::new();
         for (start, dwarm) in plan.detailed_starts() {
-            if start > trace.len() as u64 {
-                break; // The trace ends before this interval: skip the rest.
+            if start + dwarm + period > trace.len() as u64 {
+                break; // The trace ends inside this interval: skip the rest.
             }
-            while (cursor.pos() as u64) < start {
-                match cursor.next() {
-                    Some(di) => warmer.warm_uop(&di),
-                    None => break,
-                }
-            }
-            if (cursor.pos() as u64) < start {
-                break; // The cursor ran dry early: nothing further replays.
+            let gap = (start - cursor.pos() as u64) as usize;
+            for di in cursor.by_ref().take(gap) {
+                warmer.warm_uop(&di);
             }
             let (pos, payload_pos) = (cursor.pos() as u64, cursor.payload_pos() as u64);
             checkpoints.push(Checkpoint::capture(
@@ -449,7 +447,6 @@ struct Machine<'a, S, T: PipeEventSink> {
     fetch_blocked_on: Option<u64>,
     fetch_resume_at: u64,
     fe_count: usize,
-    rob_used: usize,
     iq_used: usize,
     lq_used: usize,
     sq_used: usize,
@@ -505,7 +502,6 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             fetch_blocked_on: None,
             fetch_resume_at: 0,
             fe_count: 0,
-            rob_used: 0,
             iq_used: 0,
             lq_used: 0,
             sq_used: 0,
@@ -568,6 +564,11 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             }
         }
 
+        debug_assert_eq!(
+            self.recount(),
+            (self.fe_count, self.iq_used, self.lq_used, self.sq_used, self.prf_used),
+            "occupancy counters drifted from the window's slots"
+        );
         self.totals().since(&snapshot)
     }
 
@@ -615,7 +616,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             self.now,
             self.counters.metrics.instructions,
             self.last_commit_cycle,
-            self.rob_used,
+            self.rob_used(),
             self.cfg.rob_entries,
             self.iq_used,
             self.cfg.iq_entries,
@@ -652,7 +653,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
     /// Structure occupancies for a per-cycle attribution record.
     fn occupancy(&self) -> Occupancy {
         Occupancy {
-            rob: self.rob_used as u32,
+            rob: self.rob_used() as u32,
             iq: self.iq_used as u32,
             lq: self.lq_used as u32,
             sq: self.sq_used as u32,
@@ -676,17 +677,17 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
     /// * empty window → the front end is the bottleneck: squash refill
     ///   ([`CycleCause::SquashRecovery`]) or plain fetch starvation.
     fn stall_cause(&self) -> CycleCause {
-        match self.w.head_info() {
-            Some(h) => match h.stage {
+        match self.w.front().map(|h| h as usize) {
+            Some(h) => match self.w.state[h] {
                 Stage::Completed => CycleCause::CommitBlock,
-                Stage::Waiting | Stage::Issued => match h.fu {
+                Stage::Waiting | Stage::Issued => match self.w.di[h].inst.fu_class() {
                     FuClass::Load | FuClass::Store => CycleCause::MemWait,
                     _ => CycleCause::IssueWait,
                 },
                 Stage::FrontEnd => {
-                    if self.in_recovery(h.seq) {
+                    if self.in_recovery(self.w.di[h].seq) {
                         CycleCause::SquashRecovery
-                    } else if h.fe_exit <= self.now {
+                    } else if self.w.fe_exit[h] <= self.now {
                         CycleCause::DispatchBlock
                     } else {
                         CycleCause::FetchStarve
@@ -810,28 +811,29 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
                 let addr = self.w.di[i].mem_addr.expect("store has an address");
                 self.mem.store(self.w.di[i].pc, addr, self.now);
             }
-            // Train the value predictor (in order, every eligible µop).
-            if self.w.flag(idx, flag::ELIGIBLE) {
+            // Train the value predictor (in order, every eligible µop) and
+            // classify its prediction. A wrong injected value that some
+            // consumer issued on flushes everything younger under
+            // squash-at-commit; selective reissue repaired it at execute.
+            let mut squash = false;
+            if self.w.di[i].vp_eligible() {
+                let actual = self.w.di[i].result.expect("eligible µop has a result");
                 if let Some(p) = self.predictor.as_mut() {
-                    p.train(seq, self.w.di[i].result.expect("eligible µop has a result"));
+                    p.train(seq, actual);
                 }
-                self.counters.vp.eligible += 1;
-                if self.w.flag(idx, flag::PRED_HIT) {
-                    self.counters.vp.hits += 1;
-                }
-                if self.w.predicted[i].is_some() {
-                    self.counters.vp.used += 1;
-                    if self.w.flag(idx, flag::PRED_WRONG) {
-                        self.counters.vp.mispredicted += 1;
-                        if !self.w.flag(idx, flag::PRED_CONSUMER_ISSUED) {
-                            self.counters.vp.harmless_mispredictions += 1;
-                        }
-                    } else {
-                        self.counters.vp.correct_used += 1;
-                    }
-                } else if self.w.flag(idx, flag::PRED_CORRECT_UNUSED) {
-                    self.counters.vp.correct_unused += 1;
-                }
+                let guess = self.w.pred_any[i];
+                let (used, right) = (self.w.flag(idx, flag::CONFIDENT), guess == Some(actual));
+                let wrong = used && !right;
+                let consumed = self.w.flag(idx, flag::PRED_CONSUMER_ISSUED);
+                let vp = &mut self.counters.vp;
+                vp.eligible += 1;
+                vp.hits += guess.is_some() as u64;
+                vp.used += used as u64;
+                vp.correct_used += (used && right) as u64;
+                vp.correct_unused += (!used && right) as u64;
+                vp.mispredicted += wrong as u64;
+                vp.harmless_mispredictions += (wrong && !consumed) as u64;
+                squash = wrong && consumed && self.recovery == RecoveryPolicy::SquashAtCommit;
             }
             // Train the branch predictors.
             let op = self.w.di[i].inst.op;
@@ -852,8 +854,6 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             }
             self.counters.metrics.instructions += 1;
             self.emit(seq, PipeEventKind::Commit { slot: slot as u16 });
-            // Value-misprediction squash at commit.
-            let squash = self.w.flag(idx, flag::VP_SQUASH_AT_COMMIT);
             let hist = self.w.hist_after[i];
             let cp = self.w.ras_cp[i];
             self.w.release(idx);
@@ -960,30 +960,26 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             // computed"), so the predictor's speculative value tracking is
             // repaired for *any* wrong prediction, confident or not —
             // otherwise a cold or glitched chain self-feeds forever.
-            if let (Some(guess), Some(actual)) = (self.w.pred_any[i], self.w.di[i].result) {
-                if guess != actual {
-                    let pc = self.w.di[i].pc;
-                    if let Some(p) = self.predictor.as_mut() {
-                        p.resolve(seq, pc, actual);
-                    }
+            let Some(actual) = self.w.di[i].result else { continue };
+            let guess = self.w.pred_any[i];
+            if guess.is_some_and(|g| g != actual) {
+                let pc = self.w.di[i].pc;
+                if let Some(p) = self.predictor.as_mut() {
+                    p.resolve(seq, pc, actual);
                 }
             }
-            if let (Some(pred), Some(actual)) = (self.w.predicted[i], self.w.di[i].result) {
-                self.emit(seq, PipeEventKind::VpValidate { correct: pred == actual });
-                if pred != actual {
-                    self.w.set_flag(idx, flag::PRED_WRONG);
-                    if self.w.flag(idx, flag::PRED_CONSUMER_ISSUED) {
-                        match self.recovery {
-                            RecoveryPolicy::SquashAtCommit => {
-                                self.w.set_flag(idx, flag::VP_SQUASH_AT_COMMIT);
-                            }
-                            RecoveryPolicy::SelectiveReissue => {
-                                self.selective_reissue(idx);
-                            }
-                        }
+            // Selective reissue repairs an injected value's consumers here;
+            // `commit` classifies the outcome and makes the squash-at-commit
+            // flush.
+            if self.w.flag(idx, flag::CONFIDENT) {
+                let correct = guess == Some(actual);
+                self.emit(seq, PipeEventKind::VpValidate { correct });
+                if self.recovery == RecoveryPolicy::SelectiveReissue {
+                    if correct {
+                        self.validate_poison(idx);
+                    } else if self.w.flag(idx, flag::PRED_CONSUMER_ISSUED) {
+                        self.selective_reissue(idx);
                     }
-                } else if self.recovery == RecoveryPolicy::SelectiveReissue {
-                    self.validate_poison(idx);
                 }
             }
         }
@@ -1207,7 +1203,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
                     match self.w.state[pi] {
                         Stage::Completed => {}
                         Stage::Issued if self.w.complete_at[pi] <= self.now => {}
-                        _ if self.w.predicted[pi].is_some()
+                        _ if self.w.flag(p, flag::CONFIDENT)
                             && self.w.state[pi] != Stage::FrontEnd =>
                         {
                             self.spec_buf.push(*dep);
@@ -1285,7 +1281,7 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
     #[inline]
     fn dispatch_blocker(&self, i: usize) -> Option<Blocker> {
         let op = self.w.di[i].inst.op;
-        if self.rob_used >= self.cfg.rob_entries {
+        if self.rob_used() >= self.cfg.rob_entries {
             Some(Blocker::DispatchRob)
         } else if self.iq_used >= self.cfg.iq_entries {
             Some(Blocker::DispatchIq)
@@ -1326,7 +1322,6 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
                 break;
             }
             let op = self.w.di[i].inst.op;
-            let dst_class = self.w.di[i].inst.dst.map(|d| d.class());
             // Rename.
             let seq = self.w.di[i].seq;
             let sources = self.w.di[i].inst.source_pair();
@@ -1336,24 +1331,18 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             }
             if let Some(d) = self.w.di[i].inst.dst {
                 self.rename[d.index()] = Some(seq);
+                self.prf_used[d.class() as usize] += 1;
             }
             // Memory structures.
-            let (mut lq_held, mut sq_held) = (false, false);
             let mut store_dep = None;
             let pc = self.w.di[i].pc;
             if op == Opcode::Load {
-                lq_held = true;
                 self.lq_used += 1;
                 store_dep = self.store_sets.load_dependence(pc);
             } else if op == Opcode::Store {
-                sq_held = true;
                 self.sq_used += 1;
                 self.w.lfst_slot[i] = self.store_sets.store_dispatched(pc, seq);
             }
-            if let Some(class) = dst_class {
-                self.prf_used[class as usize] += 1;
-            }
-            self.rob_used += 1;
             self.iq_used += 1;
             self.fe_count -= 1;
             dispatched += 1;
@@ -1363,13 +1352,6 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             self.w.deps[i] = deps;
             self.w.store_dep[i] = store_dep;
             self.w.set_flag(idx, flag::IQ_HELD);
-            if lq_held {
-                self.w.set_flag(idx, flag::LQ_HELD);
-            }
-            if sq_held {
-                self.w.set_flag(idx, flag::SQ_HELD);
-            }
-            self.w.prf_class[i] = dst_class;
             // Loads and stores join the address-indexed LSQ chains here;
             // release (commit or squash) unlinks them.
             self.w.lsq_insert(idx);
@@ -1464,7 +1446,6 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
                 self.w.set_flag(idx, flag::BR_MISPRED);
             }
             if di.vp_eligible() {
-                self.w.set_flag(idx, flag::ELIGIBLE);
                 self.counters.back_to_back.eligible += 1;
                 if self.b2b.fetched(pc, self.now) {
                     self.counters.back_to_back.back_to_back += 1;
@@ -1472,17 +1453,9 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
                 if let Some(p) = self.predictor.as_mut() {
                     let ctx = PredictCtx { seq, pc, hist: pre_hist, actual: di.result };
                     let pred = p.predict(&ctx);
-                    if pred.value.is_some() {
-                        self.w.set_flag(idx, flag::PRED_HIT);
-                    }
                     self.w.pred_any[idx as usize] = pred.value;
-                    match pred.confident_value() {
-                        Some(v) => self.w.predicted[idx as usize] = Some(v),
-                        None => {
-                            if pred.value == di.result {
-                                self.w.set_flag(idx, flag::PRED_CORRECT_UNUSED);
-                            }
-                        }
+                    if pred.confident_value().is_some() {
+                        self.w.set_flag(idx, flag::CONFIDENT);
                     }
                 }
             }
@@ -1505,8 +1478,9 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
     // ----- resource release -----
 
     /// Free what a µop leaving the window (by commit or squash) holds: a
-    /// fetch-queue slot, or its ROB entry and the IQ, LQ, SQ and PRF
-    /// entries it still holds from dispatch.
+    /// fetch-queue slot, or the IQ entry it still holds from dispatch and
+    /// the LQ, SQ or PRF entry its opcode and destination took there. Its
+    /// ROB entry goes with the slot ([`Machine::rob_used`]).
     #[inline]
     fn release_resources(&mut self, idx: u32) {
         let i = idx as usize;
@@ -1514,13 +1488,39 @@ impl<'a, S: InstSource, T: PipeEventSink> Machine<'a, S, T> {
             self.fe_count -= 1;
             return;
         }
-        self.rob_used -= 1;
         self.iq_used -= self.w.flag(idx, flag::IQ_HELD) as usize;
-        self.lq_used -= self.w.flag(idx, flag::LQ_HELD) as usize;
-        self.sq_used -= self.w.flag(idx, flag::SQ_HELD) as usize;
-        if let Some(class) = self.w.prf_class[i] {
-            self.prf_used[class as usize] -= 1;
+        let inst = &self.w.di[i].inst;
+        self.lq_used -= (inst.op == Opcode::Load) as usize;
+        self.sq_used -= (inst.op == Opcode::Store) as usize;
+        if let Some(d) = inst.dst {
+            self.prf_used[d.class() as usize] -= 1;
         }
+    }
+
+    /// Dispatched µops in flight: the window minus its front-end region.
+    #[inline]
+    fn rob_used(&self) -> usize {
+        self.w.len() - self.fe_count
+    }
+
+    /// The fetch-queue, IQ, LQ, SQ and per-class PRF occupancy counted
+    /// afresh from the window's slots, to check the incremental counters.
+    fn recount(&self) -> (usize, usize, usize, usize, [usize; 2]) {
+        let mut n = (0, 0, 0, 0, [0; 2]);
+        for idx in (0..self.w.len()).map(|off| self.w.at(off)) {
+            let inst = &self.w.di[idx as usize].inst;
+            if self.w.state[idx as usize] == Stage::FrontEnd {
+                n.0 += 1;
+                continue;
+            }
+            n.1 += self.w.flag(idx, flag::IQ_HELD) as usize;
+            n.2 += (inst.op == Opcode::Load) as usize;
+            n.3 += (inst.op == Opcode::Store) as usize;
+            if let Some(d) = inst.dst {
+                n.4[d.class() as usize] += 1;
+            }
+        }
+        n
     }
 
     // ----- squash -----
@@ -1769,15 +1769,64 @@ mod tests {
         assert!(vp.vp.accuracy() > 0.99, "accuracy {}", vp.vp.accuracy());
     }
 
+    /// A loop whose value is constant for blocks of `1 << log2_block`
+    /// iterations, then jumps to a pseudo-random value, with an immediate
+    /// consumer: a confident predictor is burned at block boundaries.
+    fn block_constant_loop(iters: i64, log2_block: i64) -> Program {
+        let mut b = ProgramBuilder::new();
+        let (i, n, t, v) = (Reg::int(1), Reg::int(2), Reg::int(3), Reg::int(4));
+        let c = Reg::int(5);
+        b.load_imm(n, iters);
+        b.load_imm(c, 6364136223846793005);
+        let top = b.bind_label();
+        b.shri(t, i, log2_block); // block id
+        b.mul(v, t, c); // block-constant pseudo-random value
+        b.addi(Reg::int(6), v, 1); // consumer of the predicted value
+        b.addi(i, i, 1);
+        b.blt(i, n, top);
+        b.halt();
+        b.build().unwrap()
+    }
+
     #[test]
     fn vp_stats_are_consistent() {
-        let p = counted_loop(2000, 4);
-        let r = run(vp_config(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit), &p, 0, 30_000);
-        assert!(r.vp.used <= r.vp.eligible);
-        assert!(r.vp.hits <= r.vp.eligible);
-        assert_eq!(r.vp.used, r.vp.correct_used + r.vp.mispredicted);
-        assert!(r.vp.harmless_mispredictions <= r.vp.mispredicted);
-        assert!(r.back_to_back.eligible >= r.vp.eligible);
+        // `commit` derives every outcome from the prediction and the
+        // result; pin the partitions that derivation must respect for
+        // every predictor, confidence scheme and recovery policy.
+        let p = block_constant_loop(6_000, 4);
+        let (mut squashes, mut reissues) = (0, 0);
+        for kind in PredictorKind::ALL {
+            for recovery in [RecoveryPolicy::SquashAtCommit, RecoveryPolicy::SelectiveReissue] {
+                for vp in
+                    [VpConfig::enabled(kind, recovery), VpConfig::baseline_counters(kind, recovery)]
+                {
+                    let label = format!("{vp:?}");
+                    let r = run(CoreConfig::default().with_vp(vp), &p, 0, 20_000);
+                    let s = &r.vp;
+                    assert!(s.used <= s.eligible, "{label}");
+                    assert!(s.hits <= s.eligible, "{label}");
+                    assert!(r.back_to_back.eligible >= s.eligible, "{label}");
+                    assert_eq!(s.used, s.correct_used + s.mispredicted, "{label}");
+                    assert!(s.hits >= s.used, "{label}");
+                    assert!(s.correct_unused <= s.hits - s.used, "{label}");
+                    assert!(s.harmless_mispredictions <= s.mispredicted, "{label}");
+                    match recovery {
+                        RecoveryPolicy::SquashAtCommit => {
+                            assert_eq!(
+                                r.vp_squashes,
+                                s.mispredicted - s.harmless_mispredictions,
+                                "{label}"
+                            );
+                            assert_eq!(r.reissued_uops, 0, "{label}");
+                        }
+                        RecoveryPolicy::SelectiveReissue => assert_eq!(r.vp_squashes, 0, "{label}"),
+                    }
+                    squashes += r.vp_squashes;
+                    reissues += r.reissued_uops;
+                }
+            }
+        }
+        assert!(squashes > 0 && reissues > 0, "the workload must mispredict harmfully");
     }
 
     #[test]
@@ -1977,19 +2026,7 @@ mod tests {
         // saturate within a block (7 correct) and mispredict at every
         // block boundary; FPC (expected 129 correct to saturate) almost
         // never gains enough confidence to be burned — the §5 trade-off.
-        let mut b = ProgramBuilder::new();
-        let (i, n, t, v) = (Reg::int(1), Reg::int(2), Reg::int(3), Reg::int(4));
-        let c = Reg::int(5);
-        b.load_imm(n, 8000);
-        b.load_imm(c, 6364136223846793005);
-        let top = b.bind_label();
-        b.shri(t, i, 6); // block id
-        b.mul(v, t, c); // block-constant pseudo-random value
-        b.addi(Reg::int(6), v, 1); // consumer of the predicted value
-        b.addi(i, i, 1);
-        b.blt(i, n, top);
-        b.halt();
-        let p = b.build().unwrap();
+        let p = block_constant_loop(8_000, 6);
         let lvp = |scheme| {
             let config = CoreConfig::default().with_vp(VpConfig {
                 kind: PredictorKind::Lvp,

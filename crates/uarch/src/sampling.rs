@@ -360,16 +360,16 @@ pub struct SampledResult {
     /// replayed interval (the fast-forward volume the estimate stands on;
     /// zero when no interval replayed).
     pub ff_uops: u64,
-    /// µops the cycle-accurate model replayed (per-interval detailed
-    /// warm-up plus measurement, summed over the replayed intervals) —
-    /// the nominal detailed volume the sampled run paid for, comparable
-    /// to a full run's `warmup + measure`.
+    /// µops the cycle-accurate model replayed: per-interval detailed
+    /// warm-up plus measurement, summed over the replayed intervals. Only
+    /// intervals the trace holds in full replay, so this is exactly what
+    /// they committed, comparable to a full run's `warmup + measure`.
     pub detailed_uops: u64,
 }
 
 impl SampledResult {
-    /// Number of intervals that actually replayed (the trace may end
-    /// before late intervals of a short workload).
+    /// Number of intervals that actually replayed (a program that halts
+    /// early holds only its first intervals in full).
     pub fn intervals_replayed(&self) -> u64 {
         self.per_interval.len() as u64
     }
@@ -388,8 +388,9 @@ impl SampledResult {
 
     /// Per-interval CPI observations, in trace order — the input to the
     /// `vpsim-stats` confidence-interval estimator. Every interval commits
-    /// the same number of µops, so the combined IPC is exactly one over
-    /// their mean: estimate CPI, then report IPC as its reciprocal.
+    /// the same number of µops (intervals the trace cannot hold in full
+    /// are never replayed), so the combined IPC is exactly one over their
+    /// mean: estimate CPI, then report IPC as its reciprocal.
     pub fn interval_cpis(&self) -> Vec<f64> {
         self.per_interval.iter().map(|r| r.metrics.cpi()).collect()
     }

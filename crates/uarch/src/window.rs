@@ -1,21 +1,16 @@
 //! Slab-backed struct-of-arrays instruction window and its companion
-//! hot-loop structures.
-//!
-//! The timing model ([`crate::pipeline`]) used to keep its in-flight µops
-//! in a `VecDeque<Slot>` of ~200-byte slots and rediscover everything by
-//! scanning it: completion scanned the whole window every cycle, issue
-//! re-checked every waiting µop's operands, poison sets were per-slot
-//! `Vec<u64>`s cloned on inheritance, and dispatch walked over every
-//! already-dispatched slot to find the front-end region. This module
-//! replaces that with indexed structures sized once at construction so the
-//! steady-state simulation loop performs **zero heap allocation per cycle**
-//! (verified by `crates/uarch/tests/zero_alloc.rs`):
+//! hot-loop structures, sized once at construction so the steady-state
+//! simulation loop performs **zero heap allocation per cycle** (verified
+//! by `crates/uarch/tests/zero_alloc.rs`):
 //!
 //! * [`Window`] — a fixed-capacity slab in struct-of-arrays layout with a
 //!   free list and per-slot **generation stamps**. Slab indices are stable
 //!   for a µop's whole lifetime; a parallel ROB-order ring (`order`) keeps
 //!   the commit/seq order, and `seq → slab index` is O(1) because the
-//!   window always holds a contiguous seq range.
+//!   window always holds a contiguous seq range. A slot stores each
+//!   per-µop fact once: what its [`DynInst`], stage or prediction already
+//!   says (eligibility, LQ/SQ and register holdings, the prediction's
+//!   outcome) is derived by the pipeline where it is read.
 //! * **Poison tracking** — each slot's selective-reissue poison set is a
 //!   bitmask over *producer slab indices* plus an inverted
 //!   producer→consumers list, so issue-time inheritance is a word-wise OR
@@ -35,22 +30,21 @@
 //!   because dispatch is in-order), so store-to-load forwarding and
 //!   memory-order violation checks walk only same-line µops instead of
 //!   the whole ROB-order ring. Entries join at dispatch and leave at
-//!   [`Window::release`] (commit or squash), mirroring the LQ/SQ held
-//!   flags.
+//!   [`Window::release`] (commit or squash), exactly when the µop's LQ or
+//!   SQ entry is taken and freed.
 //! * [`CompletionWheel`] — completion events bucketed by cycle in a
-//!   power-of-two ring that grows to the largest in-flight latency,
-//!   replacing the every-cycle full-window completion scan. Events carry
-//!   `(cycle, slab index, generation)` and are dropped lazily when the
-//!   slot was squashed or reissued.
+//!   power-of-two ring that grows to the largest in-flight latency, so
+//!   completion touches only due µops. Events carry `(cycle, slab index,
+//!   generation)` and are dropped lazily when the slot was squashed or
+//!   reissued.
 //! * [`FetchB2b`] — the §3.2 back-to-back fetch statistic over a two-cycle
-//!   PC ring. The previous `HashMap<pc, cycle>` grew without bound on
-//!   endless workloads; only the previous cycle's fetch group can ever
-//!   match, so two `fetch_width`-sized buffers are exact and O(1) memory.
+//!   PC ring: only the previous cycle's fetch group can ever match, so two
+//!   `fetch_width`-sized buffers are exact and O(1) memory.
 
 use std::collections::VecDeque;
 use vpsim_branch::RasCheckpoint;
 use vpsim_core::HistoryState;
-use vpsim_isa::{DynInst, FuClass, Opcode, RegClass};
+use vpsim_isa::{DynInst, Opcode};
 
 /// Sentinel for "not yet scheduled" cycles.
 pub(crate) const UNSCHEDULED: u64 = u64::MAX;
@@ -72,28 +66,19 @@ pub(crate) enum Stage {
     Completed,
 }
 
-/// Boolean slot attributes, packed into one flag word per slot.
+/// Boolean slot attributes, packed into one flag word per slot. Only
+/// facts the slot's [`DynInst`], stage and prediction cannot give are
+/// stored; the rest (eligibility, LQ/SQ and register holdings, the
+/// value-prediction outcome) are derived where they are read.
 pub(crate) mod flag {
-    /// Predictor produced any value (hit), confident or not.
-    pub const PRED_HIT: u16 = 1 << 0;
-    /// Predictor produced a correct value that was not confident.
-    pub const PRED_CORRECT_UNUSED: u16 = 1 << 1;
-    /// The injected confident prediction turned out wrong.
-    pub const PRED_WRONG: u16 = 1 << 2;
+    /// `pred_any` is confident: its value was injected before dispatch.
+    pub const CONFIDENT: u8 = 1 << 0;
     /// Some consumer issued using the predicted value before execution.
-    pub const PRED_CONSUMER_ISSUED: u16 = 1 << 3;
-    /// Squash younger µops when this µop commits (squash-at-commit).
-    pub const VP_SQUASH_AT_COMMIT: u16 = 1 << 4;
+    pub const PRED_CONSUMER_ISSUED: u8 = 1 << 1;
     /// Slot holds an issue-queue entry.
-    pub const IQ_HELD: u16 = 1 << 5;
-    /// Slot holds a load-queue entry.
-    pub const LQ_HELD: u16 = 1 << 6;
-    /// Slot holds a store-queue entry.
-    pub const SQ_HELD: u16 = 1 << 7;
+    pub const IQ_HELD: u8 = 1 << 2;
     /// Fetch-time branch misprediction (direction or target).
-    pub const BR_MISPRED: u16 = 1 << 8;
-    /// µop is value-prediction eligible (writes a register).
-    pub const ELIGIBLE: u16 = 1 << 9;
+    pub const BR_MISPRED: u8 = 1 << 3;
 }
 
 /// A scheduled completion: slot `idx` (validated by `gen`) finishes
@@ -106,20 +91,6 @@ pub(crate) struct Event {
     pub idx: u32,
     /// Generation stamp of the slot when the event was scheduled.
     pub gen: u32,
-}
-
-/// Snapshot of the window head used by the event tap's stall attribution
-/// ([`Window::head_info`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HeadInfo {
-    /// Pipeline stage of the oldest in-flight µop.
-    pub stage: Stage,
-    /// Functional-unit class of the head µop.
-    pub fu: FuClass,
-    /// Global dynamic sequence number of the head µop.
-    pub seq: u64,
-    /// Cycle the head µop leaves (or left) the in-order front-end.
-    pub fe_exit: u64,
 }
 
 /// A consumer registered for wakeup, validated by its generation stamp.
@@ -152,7 +123,7 @@ pub(crate) struct Window {
     /// Pipeline stage.
     pub state: Vec<Stage>,
     /// Packed boolean attributes ([`flag`]).
-    pub flags: Vec<u16>,
+    pub flags: Vec<u8>,
     /// Cycle the µop leaves the in-order front-end.
     pub fe_exit: Vec<u64>,
     /// Cycle the µop dispatched ([`UNSCHEDULED`] while in the front-end).
@@ -167,12 +138,9 @@ pub(crate) struct Window {
     pub store_dep: Vec<Option<u64>>,
     /// LFST slot this store occupies (store-set bookkeeping hint).
     pub lfst_slot: Vec<Option<u16>>,
-    /// Confident predicted value injected at dispatch.
-    pub predicted: Vec<Option<u64>>,
-    /// The predictor's value regardless of confidence.
+    /// The predictor's value regardless of confidence; the
+    /// [`flag::CONFIDENT`] bit marks it injected before dispatch.
     pub pred_any: Vec<Option<u64>>,
-    /// Physical-register class held by this µop's destination.
-    pub prf_class: Vec<Option<RegClass>>,
     /// Speculative history after this µop (squash restore point).
     pub hist_after: Vec<HistoryState>,
     /// RAS checkpoint after this µop (squash restore point).
@@ -239,9 +207,7 @@ impl Window {
             deps: vec![[None, None]; cap],
             store_dep: vec![None; cap],
             lfst_slot: vec![None; cap],
-            predicted: vec![None; cap],
             pred_any: vec![None; cap],
-            prf_class: vec![None; cap],
             hist_after: vec![HistoryState::default(); cap],
             ras_cp: vec![RasCheckpoint::default(); cap],
             gen: vec![0; cap],
@@ -302,20 +268,6 @@ impl Window {
         self.front().map(|i| self.di[i as usize].seq)
     }
 
-    /// Commit-time view of the oldest in-flight µop, for the event tap's
-    /// per-cycle stall attribution ([`crate::tap`]): the head µop bounds
-    /// everything behind it, so its stage + FU class name the machine's
-    /// current bottleneck.
-    pub fn head_info(&self) -> Option<HeadInfo> {
-        let i = self.front()? as usize;
-        Some(HeadInfo {
-            stage: self.state[i],
-            fu: self.di[i].inst.fu_class(),
-            seq: self.di[i].seq,
-            fe_exit: self.fe_exit[i],
-        })
-    }
-
     /// O(1) `seq → slab index`; `None` when `seq` already committed or is
     /// not in flight. Relies on the window holding a contiguous seq range
     /// (squashed µops are refetched in order).
@@ -359,9 +311,7 @@ impl Window {
         self.deps[i] = [None, None];
         self.store_dep[i] = None;
         self.lfst_slot[i] = None;
-        self.predicted[i] = None;
         self.pred_any[i] = None;
-        self.prf_class[i] = None;
         self.hist_after[i] = hist_after;
         self.ras_cp[i] = ras_cp;
         self.order.push_back(idx);
@@ -404,17 +354,17 @@ impl Window {
     // ----- flag helpers -----
 
     /// Read one [`flag`] bit.
-    pub fn flag(&self, idx: u32, bit: u16) -> bool {
+    pub fn flag(&self, idx: u32, bit: u8) -> bool {
         self.flags[idx as usize] & bit != 0
     }
 
     /// Set one [`flag`] bit.
-    pub fn set_flag(&mut self, idx: u32, bit: u16) {
+    pub fn set_flag(&mut self, idx: u32, bit: u8) {
         self.flags[idx as usize] |= bit;
     }
 
     /// Clear one [`flag`] bit.
-    pub fn clear_flag(&mut self, idx: u32, bit: u16) {
+    pub fn clear_flag(&mut self, idx: u32, bit: u8) {
         self.flags[idx as usize] &= !bit;
     }
 

@@ -173,3 +173,38 @@ fn one_interval_plan_equals_full_replay() {
         assert_eq!(sampled.ff_uops, 0, "{label}: the checkpoint sits at the trace head");
     }
 }
+
+/// `Simulator` doc example's counted loop: `load_imm`, then `iters`
+/// iterations of `addi` + `blt`, then `halt` — a trace of exactly
+/// `2 * iters + 2` µops, however large the capture budget.
+fn halting_loop(iters: i64) -> vpsim_isa::Program {
+    let mut b = ProgramBuilder::new();
+    let (i, n) = (Reg::int(1), Reg::int(2));
+    b.load_imm(n, iters);
+    let top = b.bind_label();
+    b.addi(i, i, 1);
+    b.blt(i, n, top);
+    b.halt();
+    b.build().unwrap()
+}
+
+#[test]
+fn intervals_past_the_end_of_a_halting_program_are_skipped() {
+    // Ten 1 000-µop intervals over a 10k measured region, on programs that
+    // halt inside the eighth or at the end of the ninth interval. Only the
+    // intervals the trace holds in full replay: none is cut short (the
+    // eighth once replayed 2 µops) or empty (the tenth once read CPI 0).
+    let sim = Simulator::new(CoreConfig::default());
+    let sample = SampleConfig { intervals: 10, period: 1_000, warmup: 0 };
+    for (iters, len, whole) in [(4_000, 8_002, 8), (4_499, 9_000, 9)] {
+        let trace = Trace::capture(&halting_loop(iters), sim.config().trace_budget(0, 10_000));
+        assert_eq!(trace.len(), len);
+        let sampled = sim.run_sampled(&trace, 0, 10_000, sample);
+        assert_eq!(sampled.intervals_replayed(), whole, "trace of {len} µops");
+        assert_eq!(sampled.detailed_uops, whole * 1_000, "trace of {len} µops");
+        for r in &sampled.per_interval {
+            assert_eq!(r.metrics.instructions, 1_000, "trace of {len} µops");
+        }
+        assert!(sampled.interval_cpis().iter().all(|&cpi| cpi > 0.0));
+    }
+}
