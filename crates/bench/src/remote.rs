@@ -30,6 +30,9 @@ pub struct RemoteOutcome {
 
 fn connect(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    // Without Nagle, the tail of a request longer than one segment does
+    // not wait for the server's delayed ACK.
+    stream.set_nodelay(true).map_err(|e| format!("cannot set TCP_NODELAY: {e}"))?;
     let reader =
         BufReader::new(stream.try_clone().map_err(|e| format!("cannot clone connection: {e}"))?);
     Ok((reader, stream))

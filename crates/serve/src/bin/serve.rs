@@ -24,14 +24,13 @@
 //! or on a `SHUTDOWN` protocol command from any client.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use vpsim_serve::{start, ServerConfig};
 
 #[cfg(unix)]
 mod sig {
-    use super::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
@@ -116,27 +115,27 @@ fn main() -> ExitCode {
         None => eprintln!("no --store directory: running in-memory only"),
     }
 
-    // Every shutdown path funnels into the same flag the server polls.
-    let flag = handle.shutdown_flag();
+    // Every shutdown path goes through a clone of the server's stop
+    // handle, which both sets its flag and wakes its blocking accept.
     #[cfg(unix)]
     {
         sig::install();
-        let flag = std::sync::Arc::clone(&flag);
+        let stop = handle.stop_handle();
         std::thread::spawn(move || loop {
             if sig::pending() {
-                flag.store(true, Ordering::SeqCst);
+                stop.stop();
                 return;
             }
             std::thread::sleep(Duration::from_millis(50));
         });
     }
     if options.stdin_exit {
-        let flag = std::sync::Arc::clone(&flag);
+        let stop = handle.stop_handle();
         std::thread::spawn(move || {
             // Drain stdin; EOF means whoever launched us has hung up.
             let mut sink = Vec::new();
             let _ = std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut sink);
-            flag.store(true, Ordering::SeqCst);
+            stop.stop();
         });
     }
 

@@ -17,9 +17,13 @@
 //!
 //! Architecture (all `std`, no dependencies):
 //!
-//! * an accept loop on a non-blocking listener, polling a shutdown flag;
+//! * an accept loop blocked in `accept`, which the one stop path
+//!   ([`StopHandle::stop`]) wakes by connecting to the listener;
 //! * one handler thread per connection, parsing requests and replying
-//!   `ERR <msg>` to malformed input without dropping the connection;
+//!   `ERR <msg>` to malformed input without dropping the connection.
+//!   Sockets run with `TCP_NODELAY`, and a reply is flushed only before
+//!   the handler waits on a running cell and once at its end, so a
+//!   cached resubmission leaves in one write;
 //! * a shared worker pool behind a fair [`Scheduler`]: every admitted
 //!   job's unsimulated cells queue per job, and workers pick cells
 //!   **round-robin across jobs**, so concurrent submissions interleave
@@ -34,7 +38,7 @@
 //!   pending cells instead of simulating them for a dead socket
 //!   ([`ServeMetrics`] counts it);
 //! * graceful shutdown via the `SHUTDOWN` command, a signal (the binary
-//!   bridges SIGINT/SIGTERM to [`ServerHandle::shutdown`]), or stdin EOF.
+//!   bridges SIGINT/SIGTERM to [`StopHandle::stop`]), or stdin EOF.
 //!
 //! See "Service layer" in `ARCHITECTURE.md` at the repository root.
 
@@ -42,4 +46,4 @@ mod scheduler;
 mod server;
 
 pub use scheduler::{JobEntry, Scheduler, ServeMetrics};
-pub use server::{start, ServerConfig, ServerHandle};
+pub use server::{start, ServerConfig, ServerHandle, StopHandle};

@@ -4,7 +4,7 @@
 //! the wire format.
 
 use std::io::{BufReader, BufWriter, ErrorKind, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,12 +49,54 @@ impl Default for ServerConfig {
     }
 }
 
+/// The one way to stop a server, cloneable for signal handlers and
+/// watchers. The accept loop blocks in `accept`, so a stop is two steps
+/// that only this type performs together: set the flag, then connect once
+/// to the listener so the blocked `accept` returns and sees the flag.
+#[derive(Debug, Clone)]
+pub struct StopHandle {
+    requested: Arc<AtomicBool>,
+    /// The listener's own address, with an unspecified IP (`0.0.0.0`,
+    /// `::`) replaced by loopback, which every such listener also accepts.
+    wake: SocketAddr,
+}
+
+impl StopHandle {
+    fn new(listening: SocketAddr) -> Self {
+        let wake = match listening.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => {
+                SocketAddr::new(Ipv4Addr::LOCALHOST.into(), listening.port())
+            }
+            IpAddr::V6(ip) if ip.is_unspecified() => {
+                SocketAddr::new(Ipv6Addr::LOCALHOST.into(), listening.port())
+            }
+            _ => listening,
+        };
+        StopHandle { requested: Arc::new(AtomicBool::new(false)), wake }
+    }
+
+    /// Request a graceful stop: the accept loop closes, in-flight jobs
+    /// finish, handler connections are closed. Safe to call more than
+    /// once and from any thread; it returns without waiting for the stop.
+    pub fn stop(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        // The wake-up connection carries nothing: the accept loop sees the
+        // flag and drops it. It fails harmlessly once the listener is gone.
+        let _ = TcpStream::connect(self.wake);
+    }
+
+    fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+}
+
 /// A running server. Dropping the handle does **not** stop the server;
-/// call [`ServerHandle::shutdown`] (or send `SHUTDOWN` over the wire),
+/// call [`ServerHandle::shutdown`] (or [`StopHandle::stop`] on a clone
+/// from [`ServerHandle::stop_handle`], or send `SHUTDOWN` over the wire),
 /// then [`ServerHandle::join`].
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    stop: StopHandle,
     metrics: Arc<ServeMetrics>,
     accept: Option<thread::JoinHandle<()>>,
 }
@@ -65,10 +107,11 @@ impl ServerHandle {
         self.addr
     }
 
-    /// A clone of the shutdown flag, for signal handlers and watchers:
-    /// storing `true` stops the server exactly like [`ServerHandle::shutdown`].
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+    /// A stop handle for signal handlers and watchers: its
+    /// [`StopHandle::stop`] stops the server exactly like
+    /// [`ServerHandle::shutdown`].
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
     }
 
     /// Live observability counters: completed/abandoned jobs, reclaimed
@@ -77,10 +120,9 @@ impl ServerHandle {
         Arc::clone(&self.metrics)
     }
 
-    /// Request a graceful stop: the accept loop closes, in-flight jobs
-    /// finish, handler connections are closed.
+    /// Request a graceful stop; see [`StopHandle::stop`].
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stop.stop();
     }
 
     /// Block until the server has fully stopped.
@@ -102,24 +144,21 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     let addr = listener.local_addr().map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot make the listener non-blocking: {e}"))?;
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let stop = StopHandle::new(addr);
     let scheduler = Scheduler::new(config.queue_cap);
     let metrics = Arc::clone(&scheduler.metrics);
     let accept = {
-        let shutdown = Arc::clone(&shutdown);
-        thread::spawn(move || accept_loop(listener, stores, &config, scheduler, &shutdown))
+        let stop = stop.clone();
+        thread::spawn(move || accept_loop(listener, stores, &config, scheduler, stop))
     };
-    Ok(ServerHandle { addr, shutdown, metrics, accept: Some(accept) })
+    Ok(ServerHandle { addr, stop, metrics, accept: Some(accept) })
 }
 
 /// Everything a connection handler needs, shared across all of them.
 struct Shared {
     scheduler: Arc<Scheduler>,
     stores: Stores,
-    shutdown: Arc<AtomicBool>,
+    stop: StopHandle,
     /// Monotonically increasing job ids, for disconnect logs.
     next_job: AtomicU64,
 }
@@ -129,7 +168,7 @@ fn accept_loop(
     stores: Stores,
     config: &ServerConfig,
     scheduler: Arc<Scheduler>,
-    shutdown: &Arc<AtomicBool>,
+    stop: StopHandle,
 ) {
     let workers: Vec<_> = (0..config.threads.max(1))
         .map(|_| {
@@ -137,20 +176,23 @@ fn accept_loop(
             thread::spawn(move || scheduler.worker_loop())
         })
         .collect();
-    let shared = Arc::new(Shared {
-        scheduler,
-        stores,
-        shutdown: Arc::clone(shutdown),
-        next_job: AtomicU64::new(0),
-    });
+    let shared = Arc::new(Shared { scheduler, stores, stop, next_job: AtomicU64::new(0) });
     // Live connections, so shutdown can force-close them and unblock
     // their handlers' reads; each handler deregisters itself on exit.
     let live: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::default();
     let mut handlers = Vec::new();
     let mut next_id = 0u64;
-    while !shutdown.load(Ordering::SeqCst) {
+    while !shared.stop.requested() {
         match listener.accept() {
+            // The stop's wake-up connection, or a client that raced it.
+            Ok(_) if shared.stop.requested() => break,
             Ok((stream, peer)) => {
+                // `Reply` already coalesces each burst into one write;
+                // Nagle would only hold its last partial segment for the
+                // client's delayed ACK.
+                if let Err(e) = stream.set_nodelay(true) {
+                    eprintln!("warning: cannot set TCP_NODELAY for {peer}: {e}");
+                }
                 let id = next_id;
                 next_id += 1;
                 if let Ok(clone) = stream.try_clone() {
@@ -163,10 +205,9 @@ fn accept_loop(
                     live.lock().unwrap().retain(|(i, _)| *i != id);
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
             Err(e) => {
+                // Back off so a listener that keeps failing (EMFILE, say)
+                // cannot spin.
                 eprintln!("warning: accept failed: {e}");
                 thread::sleep(Duration::from_millis(20));
             }
@@ -188,9 +229,10 @@ fn accept_loop(
     }
 }
 
+/// Write one reply line and its newline in a single call, so it leaves
+/// as one segment.
 fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+    stream.write_all(format!("{line}\n").as_bytes())
 }
 
 /// End a connection whose input broke the framing: over-long or non-UTF-8
@@ -244,7 +286,7 @@ fn handle_connection(stream: TcpStream, peer: SocketAddr, shared: &Shared) {
             }
         } else if line == protocol::SHUTDOWN {
             let _ = write_line(&mut stream, protocol::BYE);
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.stop.stop();
             return;
         } else if let Some(parsed) = protocol::parse_submit(line) {
             let submit = match parsed {
@@ -334,32 +376,33 @@ fn serve_submission(
         let _ = write_line(stream, &protocol::err_line("server is shutting down"));
         return Served::Hangup;
     }
-    let Ok(write_half) = stream.try_clone() else {
-        shared.scheduler.abandon(&entry);
-        return Served::Hangup;
-    };
-    let mut reply = Reply { writer: BufWriter::new(write_half), broken: false };
+    let mut reply = Reply { writer: BufWriter::new(stream), broken: false };
     reply.line(&protocol::ok_line(prepared.jobs().len()));
     for index in 0..prepared.jobs().len() {
         let result = match prepared.result(index) {
             Some(result) => result,
-            None => match entry.wait_cell(index) {
-                Ok(result) => result,
-                Err(e) => {
-                    // A worker died in one of our cells: reclaim the rest
-                    // and report, but keep the connection usable. This is
-                    // an internal failure, not a disconnect — `fail`, not
-                    // `abandon`, so the abandonment metrics stay honest.
-                    shared.scheduler.fail(&entry);
-                    reply.line(&protocol::err_line(&e));
-                    return if reply.broken { Served::Hangup } else { Served::Next };
+            None => {
+                // Send what is buffered before blocking on a cell that is
+                // still running; a dead client shows here, before the wait.
+                if !reply.flush() {
+                    break;
                 }
-            },
+                match entry.wait_cell(index) {
+                    Ok(result) => result,
+                    Err(e) => {
+                        // A worker died in one of our cells: reclaim the
+                        // rest and report, but keep the connection usable.
+                        // This is an internal failure, not a disconnect —
+                        // `fail`, not `abandon`, so the abandonment
+                        // metrics stay honest.
+                        shared.scheduler.fail(&entry);
+                        reply.line(&protocol::err_line(&e));
+                        return if reply.flush() { Served::Next } else { Served::Hangup };
+                    }
+                }
+            }
         };
         reply.line(&protocol::cell_line(&prepared.jobs()[index], &result));
-        if reply.broken {
-            break;
-        }
     }
     if reply.broken {
         eprintln!("client {peer} disconnected mid-job {id}; reclaiming its unfinished cells");
@@ -371,12 +414,9 @@ fn serve_submission(
     let table = protocol::render_output(&results, submit.view, submit.format);
     reply.line(&protocol::table_header(table.len()));
     reply.raw(table.as_bytes());
-    if !reply.broken {
-        let _ = reply.writer.flush();
-    }
     reply.line(&protocol::stats_line_served(&prepared.timing(), entry.queue_wait(), entry.wall()));
     reply.line(protocol::DONE);
-    if reply.broken {
+    if !reply.flush() {
         eprintln!("client {peer} disconnected mid-job {id}");
         shared.scheduler.abandon(&entry);
         return Served::Hangup;
@@ -385,26 +425,35 @@ fn serve_submission(
     Served::Next
 }
 
-/// Buffered response writer that turns broken-pipe errors into a sticky
-/// no-op: a client that disconnects mid-stream stops receiving, and the
-/// handler abandons the job so its pending cells are reclaimed.
-struct Reply {
-    writer: BufWriter<TcpStream>,
+/// Buffered response writer for one submission. Lines collect in the
+/// buffer and leave only at [`Reply::flush`], which the handler calls
+/// before it blocks on a running cell and once when the reply ends, so a
+/// reply served from the result cache leaves in one write. Write errors
+/// turn into a sticky no-op: a client that disconnects mid-stream stops
+/// receiving, and the handler abandons the job so its pending cells are
+/// reclaimed.
+struct Reply<'a> {
+    writer: BufWriter<&'a mut TcpStream>,
     broken: bool,
 }
 
-impl Reply {
+impl Reply<'_> {
     fn line(&mut self, line: &str) {
         self.raw(line.as_bytes());
         self.raw(b"\n");
-        if !self.broken && self.writer.flush().is_err() {
-            self.broken = true;
-        }
     }
 
     fn raw(&mut self, bytes: &[u8]) {
         if !self.broken && self.writer.write_all(bytes).is_err() {
             self.broken = true;
         }
+    }
+
+    /// Send everything buffered; `false` once the client is gone.
+    fn flush(&mut self) -> bool {
+        if !self.broken && self.writer.flush().is_err() {
+            self.broken = true;
+        }
+        !self.broken
     }
 }

@@ -1,16 +1,17 @@
 //! End-to-end service tests: a real server on an ephemeral port, real TCP
 //! clients, and byte-identical comparison against local execution.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use vpsim_bench::protocol::{self, Format, View};
 use vpsim_bench::remote;
 use vpsim_bench::scenario::preset;
-use vpsim_serve::{start, ServerConfig};
+use vpsim_serve::{start, ServerConfig, ServerHandle};
 
 /// Fresh scratch directory per call (temp dir + pid + counter), so
 /// parallel tests never share a store.
@@ -240,4 +241,123 @@ fn in_memory_server_still_answers_and_stops_via_handle() {
 
     handle.shutdown();
     handle.join();
+}
+
+/// Send `request` and read its reply through `DONE`; returns the time
+/// from the send to `DONE` and the reply's `STATS` line.
+fn exchange(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    request: &str,
+) -> (Duration, String) {
+    let sent = Instant::now();
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut stats = String::new();
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).expect("reply before the timeout") > 0, "hang-up");
+        let line = line.trim_end();
+        if line == protocol::DONE {
+            return (sent.elapsed(), stats);
+        } else if let Some(n) = line.strip_prefix("TABLE ") {
+            let mut table = vec![0; n.parse().expect("table length")];
+            reader.read_exact(&mut table).unwrap();
+        } else if line.starts_with("STATS ") {
+            stats = line.to_string();
+        } else {
+            assert!(line.starts_with("OK ") || line.starts_with("CELL "), "reply line: {line}");
+        }
+    }
+}
+
+#[test]
+fn cached_resubmissions_are_not_held_by_delayed_acks() {
+    let dir = scratch_dir("transport");
+    let handle = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        store_dir: Some(dir.clone()),
+        threads: 2,
+        queue_cap: 2,
+    })
+    .expect("server starts");
+    // One persistent connection with Nagle left on, like a plain client.
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut stream = stream;
+    let line = protocol::submit_line(View::Long, Format::Csv);
+    let request = format!("{line}\n{}{}\n", small_scenario(), protocol::END_MARKER);
+
+    exchange(&mut stream, &mut reader, &request); // fills the result cache
+    let mut hot: Vec<Duration> = (0..5)
+        .map(|_| {
+            let (elapsed, stats) = exchange(&mut stream, &mut reader, &request);
+            assert!(stats.contains("cells_simulated=0"), "served from the cache: {stats}");
+            elapsed
+        })
+        .collect();
+    hot.sort();
+    // A reply that leaves in pieces waits on the client's delayed ACK,
+    // a step of about 40 ms per exchange.
+    assert!(hot[2] < Duration::from_millis(20), "median cached exchange: {hot:?}");
+
+    handle.shutdown();
+    drop(stream);
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server whose accept loop has gone back to blocking in `accept`
+/// after one PING round trip. A stop issued before the loop first blocks
+/// would pass without the wake-up and prove nothing.
+fn blocked_server(addr: &str) -> ServerHandle {
+    let handle =
+        start(ServerConfig { addr: addr.into(), store_dir: None, threads: 1, queue_cap: 1 })
+            .expect("server starts");
+    let port = handle.addr().port();
+    remote::ping(&format!("127.0.0.1:{port}")).expect("server answers PING");
+    handle
+}
+
+/// Join `handle` on a helper thread and report whether it returned
+/// within 10 s, so a stop that misses the blocked `accept` fails the test
+/// instead of hanging it.
+fn joins_in_time(handle: ServerHandle) -> bool {
+    let (joined, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = joined.send(());
+    });
+    done.recv_timeout(Duration::from_secs(10)).is_ok()
+}
+
+#[test]
+fn handle_shutdown_wakes_the_blocking_accept() {
+    // An unspecified bind address is woken through loopback.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let handle = blocked_server(addr);
+        handle.shutdown();
+        assert!(joins_in_time(handle), "shutdown() stops a server bound to {addr}");
+    }
+}
+
+#[test]
+fn wire_shutdown_wakes_the_blocking_accept() {
+    let handle = blocked_server("127.0.0.1:0");
+    let addr = handle.addr().to_string();
+    let idle = TcpStream::connect(&addr).expect("connect");
+    remote::shutdown(&addr).expect("server acknowledges SHUTDOWN");
+    assert!(joins_in_time(handle), "SHUTDOWN from a second connection stops the server");
+    drop(idle);
+}
+
+#[test]
+fn a_cloned_stop_handle_wakes_the_blocking_accept() {
+    let handle = blocked_server("127.0.0.1:0");
+    // Moved into a thread of its own, as the `serve` binary's signal and
+    // stdin watchers hold it.
+    let stop = handle.stop_handle();
+    let watcher = std::thread::spawn(move || stop.stop());
+    assert!(joins_in_time(handle), "a cloned stop handle stops the server");
+    watcher.join().expect("the watcher returns");
 }
