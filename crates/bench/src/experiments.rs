@@ -12,7 +12,7 @@
 use crate::scenario::{self, Scenario};
 use crate::sweep::SweepResults;
 use crate::trace_cache::TraceCache;
-use vpsim_core::{ConfidenceScheme, PredictorKind};
+use vpsim_core::{ConfidenceScheme, Predictor, PredictorKind};
 use vpsim_isa::DynInst;
 use vpsim_stats::mean;
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
@@ -407,7 +407,7 @@ pub fn offline_eval(
 /// geometry sweep isolates the predictor from pipeline effects). Shows
 /// how much of VTAGE's coverage the longer histories contribute.
 pub fn ablation_vtage(sc: &Scenario) -> Table {
-    use vpsim_core::{Predictor as _, Vtage, VtageConfig};
+    use vpsim_core::{Vtage, VtageConfig};
     let s = &sc.settings;
     let geometries: Vec<(String, Vec<u32>)> = vec![
         ("1 comp (2)".into(), vec![2]),

@@ -270,10 +270,6 @@ macro_rules! fcm_predictor {
         }
 
         impl Predictor for $ty {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
             fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
                 self.core.predict(ctx)
             }

@@ -155,10 +155,6 @@ impl GDiff {
 }
 
 impl Predictor for GDiff {
-    fn name(&self) -> &'static str {
-        "gDiff-VTAGE"
-    }
-
     fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
         let base_pred = self.base.predict(ctx);
         let index = self.index(ctx.pc);

@@ -8,7 +8,7 @@
 //!   counters and **Forward Probabilistic Counters (FPC)** — 3-bit counters
 //!   with probabilistic forward transitions that push prediction accuracy
 //!   above 99.5 % at a modest coverage cost (paper §5).
-//! * **Predictors** (one module each): [`Lvp`] (last value), [`Stride`] and
+//! * **Predictors** (one module each): [`Lvp`] (last value),
 //!   [`TwoDeltaStride`] (computational), [`PerPathStride`], [`Fcm`]
 //!   (order-n local value history), [`DFcm`] (differential FCM), and
 //!   **[`Vtage`]** — the paper's new predictor indexed by global branch +
@@ -79,7 +79,7 @@ pub use lvp::Lvp;
 pub use oracle::Oracle;
 pub use sag::SagLvp;
 pub use storage::Storage;
-pub use stride::{PerPathStride, Stride, TwoDeltaStride};
+pub use stride::{PerPathStride, TwoDeltaStride};
 pub use vtage::{Vtage, VtageConfig};
 
 /// Context available to the predictor at prediction (fetch) time.
@@ -132,11 +132,9 @@ impl Prediction {
 
 /// A hardware value predictor (see the crate docs for the protocol).
 ///
-/// The trait is object-safe: the simulator holds `Box<dyn Predictor>`.
+/// The simulator holds one [`AnyPredictor`], which implements the trait for
+/// every [`PredictorKind`] by static dispatch and clones with its state.
 pub trait Predictor {
-    /// Short human-readable name (used in experiment tables).
-    fn name(&self) -> &'static str;
-
     /// Look up a prediction for the µop described by `ctx` and record the
     /// in-flight metadata needed to train at commit.
     ///
@@ -176,37 +174,134 @@ pub trait Predictor {
     fn storage(&self) -> Storage;
 }
 
-/// Predictor configurations evaluated in the paper (plus the extensions this
-/// repository adds). Used by the simulator CLI and the benchmark harness to
-/// instantiate predictors by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PredictorKind {
+/// Declares the predictor kinds once. Each row names a [`PredictorKind`]
+/// variant, the type its [`AnyPredictor`] variant holds, its table label and
+/// its Table 1 constructor; the enums, [`PredictorKind::ALL`],
+/// [`PredictorKind::build`], [`PredictorKind::label`] and the static
+/// [`Predictor`] dispatch of [`AnyPredictor`] are all generated from it.
+macro_rules! predictor_kinds {
+    ($($(#[$doc:meta])* $kind:ident: $ty:ty = $label:literal, $build:expr;)*) => {
+        /// Predictor configurations evaluated in the paper (plus the
+        /// extensions this repository adds). Used by the simulator CLI and the
+        /// benchmark harness to instantiate predictors by name.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum PredictorKind {
+            $($(#[$doc])* $kind,)*
+        }
+
+        /// A built predictor of any [`PredictorKind`]: one closed value that
+        /// clones with its in-flight state and dispatches statically.
+        #[derive(Debug, Clone)]
+        pub enum AnyPredictor {
+            $(
+                #[doc = concat!("A [`PredictorKind::", stringify!($kind), "`] predictor.")]
+                $kind($ty),
+            )*
+        }
+
+        impl PredictorKind {
+            /// Every predictor kind, in Table 1 / extension order. The
+            /// lowercase [`PredictorKind::label`] of each entry is its
+            /// canonical spelling for [`FromStr`](std::str::FromStr).
+            pub const ALL: [PredictorKind; [$(stringify!($kind)),*].len()] =
+                [$(PredictorKind::$kind),*];
+
+            /// Instantiate the predictor with the paper's Table 1 sizing.
+            ///
+            /// `scheme` selects the confidence flavour; `seed` feeds the FPC
+            /// LFSR and any allocation randomness, keeping runs reproducible.
+            ///
+            /// # Examples
+            ///
+            /// ```
+            /// use vpsim_core::{AnyPredictor, ConfidenceScheme, Predictor, PredictorKind};
+            ///
+            /// let p = PredictorKind::Vtage.build(ConfidenceScheme::fpc_squash(), 0x2014);
+            /// assert!(matches!(p, AnyPredictor::Vtage(_)));
+            /// assert!(p.storage().total_kb() > 60.0); // paper Table 1: ~67.6 KB
+            /// ```
+            pub fn build(self, scheme: ConfidenceScheme, seed: u64) -> AnyPredictor {
+                match self {
+                    $(PredictorKind::$kind => AnyPredictor::$kind(($build)(scheme, seed)),)*
+                }
+            }
+
+            /// Display name used in tables.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(PredictorKind::$kind => $label,)*
+                }
+            }
+        }
+
+        impl Predictor for AnyPredictor {
+            fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
+                match self {
+                    $(AnyPredictor::$kind(p) => p.predict(ctx),)*
+                }
+            }
+
+            fn train(&mut self, seq: u64, actual: u64) {
+                match self {
+                    $(AnyPredictor::$kind(p) => p.train(seq, actual),)*
+                }
+            }
+
+            fn resolve(&mut self, seq: u64, pc: u64, actual: u64) {
+                match self {
+                    $(AnyPredictor::$kind(p) => p.resolve(seq, pc, actual),)*
+                }
+            }
+
+            fn squash_after(&mut self, seq: u64) {
+                match self {
+                    $(AnyPredictor::$kind(p) => p.squash_after(seq),)*
+                }
+            }
+
+            fn storage(&self) -> Storage {
+                match self {
+                    $(AnyPredictor::$kind(p) => p.storage(),)*
+                }
+            }
+        }
+    };
+}
+
+predictor_kinds! {
     /// Last Value Predictor, 8K entries (paper Table 1).
-    Lvp,
+    Lvp: Lvp = "LVP", Lvp::with_defaults;
     /// 2-delta stride predictor, 8K entries.
-    TwoDeltaStride,
+    TwoDeltaStride: TwoDeltaStride = "2D-Str", TwoDeltaStride::with_defaults;
     /// Per-path stride predictor (paper footnote 4; performance on par with
     /// 2D-Stride).
-    PerPathStride,
+    PerPathStride: PerPathStride = "PP-Str", PerPathStride::with_defaults;
     /// Order-4 Finite Context Method, 8K+8K entries.
-    Fcm4,
+    Fcm4: Fcm = "o4-FCM", Fcm::with_defaults;
     /// Differential FCM (Goeman et al.), an extension baseline.
-    DFcm4,
+    DFcm4: DFcm = "o4-D-FCM", DFcm::with_defaults;
     /// VTAGE, 8K base + 6×1K tagged components.
-    Vtage,
+    Vtage: Vtage = "VTAGE", Vtage::with_defaults;
     /// Hybrid VTAGE + 2D-Stride (the paper's headline combination).
-    VtageStride,
+    VtageStride: Hybrid<Vtage, TwoDeltaStride> = "VTAGE-2DStr", Hybrid::vtage_stride;
     /// Hybrid o4-FCM + 2D-Stride.
-    FcmStride,
+    FcmStride: Hybrid<Fcm, TwoDeltaStride> = "o4-FCM-2DStr", Hybrid::fcm_stride;
     /// gDiff-style global-difference predictor stacked on VTAGE (an
     /// extension; Zhou et al.'s gDiff can be added "on top of any other
     /// predictor").
-    GDiffVtage,
+    GDiffVtage: GDiff = "gDiff-VTAGE", GDiff::over_vtage;
     /// LVP with SAg outcome-history confidence (Burtscher & Zorn) — the
     /// §5 alternative the paper rejects for its serial double lookup.
-    SagLvp,
+    SagLvp: SagLvp = "SAg-LVP", |_, seed| SagLvp::with_defaults(seed);
     /// Perfect predictor (Figure 3 upper bound).
-    Oracle,
+    Oracle: Oracle = "Oracle", |_, _| Oracle::new();
+}
+
+/// The trait-object view, for code that takes `&mut dyn Predictor`.
+impl AsMut<dyn Predictor> for AnyPredictor {
+    fn as_mut(&mut self) -> &mut (dyn Predictor + 'static) {
+        self
+    }
 }
 
 impl PredictorKind {
@@ -217,70 +312,6 @@ impl PredictorKind {
         PredictorKind::Fcm4,
         PredictorKind::Vtage,
     ];
-
-    /// Every predictor kind, in Table 1 / extension order. The lowercase
-    /// [`PredictorKind::label`] of each entry is its canonical spelling for
-    /// [`FromStr`](std::str::FromStr).
-    pub const ALL: [PredictorKind; 11] = [
-        PredictorKind::Lvp,
-        PredictorKind::TwoDeltaStride,
-        PredictorKind::PerPathStride,
-        PredictorKind::Fcm4,
-        PredictorKind::DFcm4,
-        PredictorKind::Vtage,
-        PredictorKind::VtageStride,
-        PredictorKind::FcmStride,
-        PredictorKind::GDiffVtage,
-        PredictorKind::SagLvp,
-        PredictorKind::Oracle,
-    ];
-
-    /// Instantiate the predictor with the paper's Table 1 sizing.
-    ///
-    /// `scheme` selects the confidence flavour; `seed` feeds the FPC LFSR
-    /// and any allocation randomness, keeping runs reproducible.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vpsim_core::{ConfidenceScheme, PredictorKind};
-    ///
-    /// let p = PredictorKind::Vtage.build(ConfidenceScheme::fpc_squash(), 0x2014);
-    /// assert_eq!(p.name(), "VTAGE");
-    /// assert!(p.storage().total_kb() > 60.0); // paper Table 1: ~67.6 KB
-    /// ```
-    pub fn build(self, scheme: ConfidenceScheme, seed: u64) -> Box<dyn Predictor> {
-        match self {
-            PredictorKind::Lvp => Box::new(Lvp::with_defaults(scheme, seed)),
-            PredictorKind::TwoDeltaStride => Box::new(TwoDeltaStride::with_defaults(scheme, seed)),
-            PredictorKind::PerPathStride => Box::new(PerPathStride::with_defaults(scheme, seed)),
-            PredictorKind::Fcm4 => Box::new(Fcm::with_defaults(scheme, seed)),
-            PredictorKind::DFcm4 => Box::new(DFcm::with_defaults(scheme, seed)),
-            PredictorKind::Vtage => Box::new(Vtage::with_defaults(scheme, seed)),
-            PredictorKind::VtageStride => Box::new(Hybrid::vtage_stride(scheme, seed)),
-            PredictorKind::FcmStride => Box::new(Hybrid::fcm_stride(scheme, seed)),
-            PredictorKind::GDiffVtage => Box::new(GDiff::over_vtage(scheme, seed)),
-            PredictorKind::SagLvp => Box::new(SagLvp::with_defaults(seed)),
-            PredictorKind::Oracle => Box::new(Oracle::new()),
-        }
-    }
-
-    /// Display name used in tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            PredictorKind::Lvp => "LVP",
-            PredictorKind::TwoDeltaStride => "2D-Str",
-            PredictorKind::PerPathStride => "PP-Str",
-            PredictorKind::Fcm4 => "o4-FCM",
-            PredictorKind::DFcm4 => "o4-D-FCM",
-            PredictorKind::Vtage => "VTAGE",
-            PredictorKind::VtageStride => "VTAGE-2DStr",
-            PredictorKind::FcmStride => "o4-FCM-2DStr",
-            PredictorKind::GDiffVtage => "gDiff-VTAGE",
-            PredictorKind::SagLvp => "SAg-LVP",
-            PredictorKind::Oracle => "Oracle",
-        }
-    }
 }
 
 impl std::fmt::Display for PredictorKind {
@@ -346,7 +377,8 @@ mod tests {
     fn build_constructs_every_kind() {
         for kind in PredictorKind::ALL {
             let p = kind.build(ConfidenceScheme::fpc_squash(), 1);
-            assert!(!p.name().is_empty());
+            // Every real predictor has tables; only the oracle has none.
+            assert_eq!(p.storage().total_kb() == 0.0, kind == PredictorKind::Oracle, "{kind}");
         }
     }
 }

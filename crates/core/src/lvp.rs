@@ -100,10 +100,6 @@ impl Lvp {
 }
 
 impl Predictor for Lvp {
-    fn name(&self) -> &'static str {
-        "LVP"
-    }
-
     fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
         let index = self.index(ctx.pc);
         let tag = self.tag(ctx.pc);

@@ -34,10 +34,6 @@ impl Oracle {
 }
 
 impl Predictor for Oracle {
-    fn name(&self) -> &'static str {
-        "Oracle"
-    }
-
     fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
         match ctx.actual {
             Some(v) => Prediction::of(v, true),

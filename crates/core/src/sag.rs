@@ -106,10 +106,6 @@ impl SagLvp {
 }
 
 impl Predictor for SagLvp {
-    fn name(&self) -> &'static str {
-        "SAg-LVP"
-    }
-
     fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
         let index = self.index(ctx.pc);
         let tag = self.tag(ctx.pc);

@@ -1,7 +1,5 @@
 //! Computational (stride-based) value predictors.
 //!
-//! * [`Stride`] — classic stride prediction (Gabbay & Mendelson): predict
-//!   `last + stride` where `stride` is the last observed delta.
 //! * [`TwoDeltaStride`] — the 2-delta variant (Eickemeyer & Vassiliadis,
 //!   paper Table 1): the *prediction* stride `s2` is only updated once the
 //!   same delta `s1` has been observed twice in a row, filtering transient
@@ -31,7 +29,7 @@ struct Entry {
     last: u64,
     /// Last observed delta.
     s1: u64,
-    /// Confirmed (prediction) delta — equals `s1` for the plain predictor.
+    /// Confirmed (prediction) delta: follows `s1` once it repeats.
     s2: u64,
     conf: u8,
 }
@@ -46,13 +44,6 @@ struct Record {
     predicted: Option<u64>,
 }
 
-/// Stride-update flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flavour {
-    Plain,
-    TwoDelta,
-}
-
 /// Index-selection flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Select {
@@ -60,7 +51,7 @@ enum Select {
     PerPath { history_bits: u32 },
 }
 
-/// Shared implementation for the three stride predictors.
+/// Shared implementation for the two stride predictors.
 #[derive(Debug, Clone)]
 struct StrideCore {
     entries: Vec<Entry>,
@@ -69,7 +60,6 @@ struct StrideCore {
     lfsr: Lfsr,
     inflight: Inflight<Record>,
     spec: SpecWindow,
-    flavour: Flavour,
     select: Select,
     name: &'static str,
 }
@@ -79,7 +69,6 @@ impl StrideCore {
         entries: usize,
         scheme: ConfidenceScheme,
         seed: u64,
-        flavour: Flavour,
         select: Select,
         name: &'static str,
     ) -> Self {
@@ -91,7 +80,6 @@ impl StrideCore {
             lfsr: Lfsr::new(seed),
             inflight: Inflight::new(),
             spec: SpecWindow::new(),
-            flavour,
             select,
             name,
         }
@@ -143,19 +131,11 @@ impl StrideCore {
                 self.scheme.on_incorrect(e.conf)
             };
             let new_stride = actual.wrapping_sub(e.last);
-            match self.flavour {
-                Flavour::Plain => {
-                    e.s1 = new_stride;
-                    e.s2 = new_stride;
-                }
-                Flavour::TwoDelta => {
-                    // s2 follows only when the same delta repeats.
-                    if new_stride == e.s1 {
-                        e.s2 = new_stride;
-                    }
-                    e.s1 = new_stride;
-                }
+            // s2 follows only when the same delta repeats.
+            if new_stride == e.s1 {
+                e.s2 = new_stride;
             }
+            e.s1 = new_stride;
             e.last = actual;
         } else {
             *self.entries.get_mut(rec.index as usize).expect("index in range") =
@@ -169,12 +149,8 @@ impl StrideCore {
     }
 
     fn storage(&self) -> Storage {
-        let stride_fields = match self.flavour {
-            Flavour::Plain => 64,
-            Flavour::TwoDelta => 128,
-        };
-        let bits =
-            full_tag_bits(self.entries.len()) + 64 + stride_fields + self.scheme.bits_per_counter();
+        // Tag, last value, the two strides and the confidence counter.
+        let bits = full_tag_bits(self.entries.len()) + 64 + 128 + self.scheme.bits_per_counter();
         Storage::from_components(vec![StorageComponent::new(self.name, self.entries.len(), bits)])
     }
 
@@ -215,7 +191,7 @@ impl StrideCore {
 }
 
 macro_rules! stride_predictor {
-    ($(#[$doc:meta])* $ty:ident, $flavour:expr, $select:expr, $name:literal) => {
+    ($(#[$doc:meta])* $ty:ident, $select:expr, $name:literal) => {
         $(#[$doc])*
         #[derive(Debug, Clone)]
         pub struct $ty {
@@ -234,15 +210,11 @@ macro_rules! stride_predictor {
             ///
             /// Panics if `entries` is not a power of two.
             pub fn new(entries: usize, scheme: ConfidenceScheme, seed: u64) -> Self {
-                $ty { core: StrideCore::new(entries, scheme, seed, $flavour, $select, $name) }
+                $ty { core: StrideCore::new(entries, scheme, seed, $select, $name) }
             }
         }
 
         impl Predictor for $ty {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
             fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
                 self.core.predict(ctx)
             }
@@ -273,35 +245,10 @@ macro_rules! stride_predictor {
 }
 
 stride_predictor!(
-    /// Classic stride predictor: `prediction = last + stride`, stride updated
-    /// on every commit.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vpsim_core::{Stride, Predictor, PredictCtx, ConfidenceScheme};
-    /// let mut p = Stride::with_defaults(ConfidenceScheme::baseline(), 1);
-    /// for seq in 0..16 {
-    ///     let ctx = PredictCtx { seq, pc: 0x10, ..Default::default() };
-    ///     let pred = p.predict(&ctx);
-    ///     if seq >= 9 {
-    ///         assert_eq!(pred.confident_value(), Some(seq * 4));
-    ///     }
-    ///     p.train(seq, seq * 4);
-    /// }
-    /// ```
-    Stride,
-    Flavour::Plain,
-    Select::PcOnly,
-    "Stride"
-);
-
-stride_predictor!(
     /// The 2-delta stride predictor (paper Table 1: 8192 entries, 251.9 KB):
     /// the prediction stride only follows after the same delta is seen twice,
     /// so a single irregular value does not destroy a learned stride.
     TwoDeltaStride,
-    Flavour::TwoDelta,
     Select::PcOnly,
     "2D-Str"
 );
@@ -311,7 +258,6 @@ stride_predictor!(
     /// of global branch history, so different control-flow paths leading to
     /// the same instruction can learn different strides (paper footnote 4).
     PerPathStride,
-    Flavour::TwoDelta,
     Select::PerPath { history_bits: 8 },
     "PP-Str"
 );
@@ -342,15 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn stride_predicts_arithmetic_sequence() {
-        let mut p = Stride::with_defaults(ConfidenceScheme::baseline(), 1);
-        let seq = train_arith(&mut p, 0x40, 100, 3, 12, 0);
-        let pred = p.predict(&ctx(seq, 0x40));
-        assert_eq!(pred.confident_value(), Some(100 + 3 * 12));
-        p.train(seq, 100 + 3 * 12);
-    }
-
-    #[test]
     fn negative_strides_wrap_correctly() {
         let mut p = TwoDeltaStride::with_defaults(ConfidenceScheme::baseline(), 1);
         // Descending sequence 1000, 990, 980, …
@@ -378,18 +315,6 @@ mod tests {
         // prediction is glitch_value + 8.
         let pred = p.predict(&ctx(seq, 0x40));
         assert_eq!(pred.value, Some(1088));
-        p.train(seq, 1088);
-    }
-
-    #[test]
-    fn plain_stride_follows_glitch_immediately() {
-        let mut p = Stride::with_defaults(ConfidenceScheme::baseline(), 1);
-        let mut seq = train_arith(&mut p, 0x40, 0, 8, 11, 0);
-        p.predict(&ctx(seq, 0x40));
-        p.train(seq, 1080); // delta 1000
-        seq += 1;
-        let pred = p.predict(&ctx(seq, 0x40));
-        assert_eq!(pred.value, Some(2080), "plain stride adopts the new delta at once");
         p.train(seq, 1088);
     }
 
@@ -565,7 +490,5 @@ mod tests {
         let p = TwoDeltaStride::with_defaults(ConfidenceScheme::baseline(), 1);
         let kb = p.storage().total_kb();
         assert!((kb - 251.9).abs() < 0.05, "got {kb}");
-        let s = Stride::with_defaults(ConfidenceScheme::baseline(), 1);
-        assert!(s.storage().total_kb() < kb);
     }
 }

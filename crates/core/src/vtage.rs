@@ -209,10 +209,6 @@ impl Vtage {
 }
 
 impl Predictor for Vtage {
-    fn name(&self) -> &'static str {
-        "VTAGE"
-    }
-
     fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
         let n = self.config.num_components();
         let base_index = self.base_index(ctx.pc);

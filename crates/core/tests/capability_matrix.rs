@@ -2,7 +2,7 @@
 //! canonical value stream (Sazeides & Smith's taxonomy, paper §2). These
 //! tests pin the qualitative behavior that drives Figures 4–7.
 
-use vpsim_core::{ConfidenceScheme, HistoryState, PredictCtx, PredictorKind};
+use vpsim_core::{ConfidenceScheme, HistoryState, PredictCtx, Predictor, PredictorKind};
 
 /// Feed `occurrences` of a stream to a fresh predictor; return the
 /// confident-and-correct fraction over the second half (steady state).

@@ -24,36 +24,63 @@
 //! or on a `SHUTDOWN` protocol command from any client.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use vpsim_serve::{start, ServerConfig};
 
 #[cfg(unix)]
 mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::fs::File;
+    use std::io::{self, Read};
+    use std::os::fd::FromRawFd;
+    use std::sync::atomic::{AtomicI32, Ordering};
 
-    static SIGNALLED: AtomicBool = AtomicBool::new(false);
+    /// Write end of the self-pipe, taken by the first signal (-1 before
+    /// [`install`] and after it).
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
     extern "C" fn on_signal(_signum: i32) {
-        SIGNALLED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    /// Route SIGINT (2) and SIGTERM (15) into a flag the main thread can
-    /// poll; only async-signal-safe work happens in the handler itself.
-    pub fn install() {
-        for signum in [2, 15] {
+        // Only the first signal writes: one byte wakes the watcher, so the
+        // blocking pipe never fills and the handler never blocks.
+        let fd = WAKE_FD.swap(-1, Ordering::SeqCst);
+        if fd >= 0 {
+            // SAFETY: write(2) is async-signal-safe and reads one byte of a
+            // static.
             unsafe {
-                signal(signum, on_signal as *const () as usize);
+                write(fd, &1u8, 1);
             }
         }
     }
 
-    pub fn pending() -> bool {
-        SIGNALLED.load(Ordering::SeqCst)
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+        fn pipe(fds: *mut i32) -> i32;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
+
+    /// Make the self-pipe and route SIGINT (2) and SIGTERM (15) into it:
+    /// the handler writes one byte, and [`wait`] on the returned read end
+    /// wakes as soon as it arrives.
+    pub fn install() -> io::Result<File> {
+        let mut fds = [-1i32; 2];
+        // SAFETY: `fds` has room for the two descriptors pipe(2) writes.
+        if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        WAKE_FD.store(fds[1], Ordering::SeqCst);
+        for signum in [2, 15] {
+            // SAFETY: `on_signal` only swaps an atomic and calls write(2).
+            unsafe {
+                signal(signum, on_signal as *const () as usize);
+            }
+        }
+        // SAFETY: pipe(2) just opened `fds[0]`, and nothing else owns it.
+        Ok(unsafe { File::from_raw_fd(fds[0]) })
+    }
+
+    /// Block until a signal has written its byte.
+    pub fn wait(mut pipe: File) -> io::Result<()> {
+        // `read_exact` retries a read the signal itself interrupted.
+        pipe.read_exact(&mut [0u8; 1])
     }
 }
 
@@ -101,6 +128,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Route signals before the server starts, so one that arrives while it
+    // binds is held in the pipe rather than killing the process.
+    #[cfg(unix)]
+    let signals = match sig::install() {
+        Ok(pipe) => pipe,
+        Err(e) => {
+            eprintln!("error: signal pipe: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let store = options.config.store_dir.clone();
     let handle = match start(options.config) {
         Ok(handle) => handle,
@@ -119,14 +156,10 @@ fn main() -> ExitCode {
     // handle, which both sets its flag and wakes its blocking accept.
     #[cfg(unix)]
     {
-        sig::install();
         let stop = handle.stop_handle();
-        std::thread::spawn(move || loop {
-            if sig::pending() {
-                stop.stop();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
+        std::thread::spawn(move || match sig::wait(signals) {
+            Ok(()) => stop.stop(),
+            Err(e) => eprintln!("signal pipe failed, SIGINT/SIGTERM will not stop the server: {e}"),
         });
     }
     if options.stdin_exit {

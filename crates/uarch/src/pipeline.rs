@@ -50,7 +50,7 @@ use crate::tap::{
 use crate::window::{flag, CompletionWheel, Event, FetchB2b, Stage, Waiter, Window, UNSCHEDULED};
 use std::collections::VecDeque;
 use vpsim_branch::{Btb, Ras, RasCheckpoint, Tage};
-use vpsim_core::{HistoryState, PredictCtx, Predictor};
+use vpsim_core::{AnyPredictor, HistoryState, PredictCtx, Predictor};
 use vpsim_isa::{DynInst, FuClass, InstSource, Opcode, Trace};
 use vpsim_mem::MemoryHierarchy;
 
@@ -438,7 +438,7 @@ struct Machine<'a, S, T: PipeEventSink> {
     tage: Tage,
     btb: Btb,
     ras: Ras,
-    predictor: Option<Box<dyn Predictor>>,
+    predictor: Option<AnyPredictor>,
     recovery: RecoveryPolicy,
     store_sets: StoreSets,
     fetch_hist: HistoryState,

@@ -17,7 +17,7 @@
 //! [`vpsim::core::Predictor`] trait — no pipeline involved — which is also
 //! how you would unit-test a new predictor of your own.
 
-use vpsim::core::{ConfidenceScheme, HistoryState, PredictCtx, PredictorKind};
+use vpsim::core::{ConfidenceScheme, HistoryState, PredictCtx, Predictor, PredictorKind};
 use vpsim::stats::table::{fmt_pct, Table};
 
 /// One canonical stream: returns (value, branch_direction) per occurrence.

@@ -2,8 +2,10 @@
 //! executor and the cycle-level core, exercising the paper's mechanisms
 //! end to end.
 
-use vpsim::core::{ConfidenceScheme, PredictorKind};
-use vpsim::isa::{Executor, Program, ProgramBuilder, Reg};
+use vpsim::core::{
+    AnyPredictor, ConfidenceScheme, HistoryState, PredictCtx, Prediction, Predictor, PredictorKind,
+};
+use vpsim::isa::{Executor, Program, ProgramBuilder, Reg, Trace};
 use vpsim::uarch::tap::NullSink;
 use vpsim::uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 use vpsim::workloads::{all_benchmarks, benchmark, microkernels, WorkloadParams};
@@ -39,6 +41,107 @@ fn simulation_is_deterministic_per_seed_across_predictors() {
         let a = run(config.clone(), &program, 0, 30_000);
         let b = run(config, &program, 0, 30_000);
         assert_eq!(a, b, "{kind:?} must be deterministic");
+    }
+}
+
+/// How many eligible µops [`Frontier`] keeps predicted but not yet trained.
+const LAG: usize = 8;
+
+/// The pipeline's predictor schedule over a fixed list of eligible µops:
+/// each is predicted at fetch and trained `LAG` µops later at commit, after
+/// a resolve if it was confidently mispredicted.
+#[derive(Clone)]
+struct Frontier<'a> {
+    ctxs: &'a [PredictCtx],
+    fetch: usize,
+    commit: usize,
+    /// The live prediction of each µop (a refetch overwrites it).
+    made: Vec<Prediction>,
+    /// Every prediction, in the order made.
+    log: Vec<Prediction>,
+}
+
+impl<'a> Frontier<'a> {
+    fn new(ctxs: &'a [PredictCtx]) -> Self {
+        Frontier {
+            ctxs,
+            fetch: 0,
+            commit: 0,
+            made: vec![Prediction::none(); ctxs.len()],
+            log: vec![],
+        }
+    }
+
+    fn cycle(&mut self, p: &mut AnyPredictor) {
+        let pred = p.predict(&self.ctxs[self.fetch]);
+        self.made[self.fetch] = pred;
+        self.log.push(pred);
+        self.fetch += 1;
+        if self.fetch - self.commit > LAG {
+            let c = &self.ctxs[self.commit];
+            let actual = c.actual.expect("eligible µop has a result");
+            if self.made[self.commit].confident_value().is_some_and(|v| v != actual) {
+                p.resolve(c.seq, c.pc, actual);
+            }
+            p.train(c.seq, actual);
+            self.commit += 1;
+        }
+    }
+
+    /// Squash the younger half of the in-flight µops; they are refetched.
+    fn squash(&mut self, p: &mut AnyPredictor) {
+        let keep = self.commit + (self.fetch - self.commit) / 2;
+        p.squash_after(self.ctxs[keep].seq);
+        self.fetch = keep + 1;
+    }
+
+    /// Run `cycles` more cycles, squash once, then run to the end of the
+    /// list; returns the predictions made from here on.
+    fn finish(mut self, p: &mut AnyPredictor, cycles: usize) -> Vec<Prediction> {
+        let start = self.log.len();
+        for _ in 0..cycles {
+            self.cycle(p);
+        }
+        self.squash(p);
+        while self.fetch < self.ctxs.len() {
+            self.cycle(p);
+        }
+        self.log.split_off(start)
+    }
+}
+
+#[test]
+fn cloned_predictor_continues_identically() {
+    // Eligible µops of a workload trace with the correct-path fetch history.
+    let program = (benchmark("gcc").unwrap().build)(&WorkloadParams::default());
+    let trace = Trace::capture(&program, 40_000);
+    let mut hist = HistoryState::default();
+    let mut ctxs = Vec::new();
+    for di in trace.cursor() {
+        if di.vp_eligible() {
+            ctxs.push(PredictCtx { seq: di.seq, pc: di.pc, hist, actual: di.result });
+        }
+        if di.inst.op.is_cond_branch() {
+            hist.push_branch(di.pc, di.taken);
+        } else if di.inst.op.is_control() {
+            hist.push_path(di.pc);
+        }
+    }
+    let half = ctxs.len() / 2;
+    for kind in PredictorKind::ALL {
+        let mut original = kind.build(ConfidenceScheme::fpc_squash(), 7);
+        let mut frontier = Frontier::new(&ctxs);
+        while frontier.fetch < half {
+            frontier.cycle(&mut original);
+        }
+        // The copy is taken with LAG predictions in flight.
+        assert_eq!(frontier.fetch - frontier.commit, LAG);
+        let mut copy = original.clone();
+        let copy_frontier = frontier.clone();
+        let expected = frontier.finish(&mut original, 1_000);
+        let got = copy_frontier.finish(&mut copy, 1_000);
+        let diverged_at = got.iter().zip(&expected).position(|(a, b)| a != b);
+        assert_eq!((got.len(), diverged_at), (expected.len(), None), "{kind}: the clone diverged");
     }
 }
 
