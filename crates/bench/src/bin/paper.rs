@@ -26,27 +26,13 @@
 //!   all              Every paper artifact above (extensions excluded)
 //!
 //! Options:
-//!   --scenario FILE  Load sizing/benchmarks/core overrides from a file
-//!   --preset NAME    Start from a named scenario preset
-//!   --set KEY=VALUE  Override one scenario key (repeatable)
-//!   --dump-scenario  Print the resolved scenario and exit
-//!   --warmup N       Warm-up instructions per run   [default 50000]
-//!   --measure N      Measured instructions per run  [default 200000]
-//!   --scale N        Workload footprint multiplier  [default 1]
-//!   --seed N         RNG seed                       [default 0x2014]
-//!   --threads N      Worker threads for the simulation grids
-//!                    [default: all hardware threads]
-//!   --benchmarks a,b Comma-separated subset of Table 3 names
 //!   --csv            Emit CSV instead of aligned text
-//!   --sample         Interval sampling: every simulation-backed grid cell
-//!                    fast-forwards between systematically selected
-//!                    intervals and replays only those in detail — the
-//!                    tables become sampled estimates (sugar for --set
-//!                    sample=on; tune with --set sample.intervals=K,
-//!                    sample.period=N, sample.warmup=W)
-//!   --stall-report   Run the resolved scenario grid with the pipeline
-//!                    event tap attached and print per-cell stall
-//!                    attribution (may be given with no experiment)
+//!
+//! Scenario options (--scenario, --preset, --set, --KEY VALUE, --predictor,
+//! --counters, --sample, --dump-scenario) are shared with simulate and
+//! sweep: see `vpsim_bench::scenario::resolve_cli`. The default sizing is
+//! the paper's, on every hardware thread. Under --sample every
+//! simulation-backed grid cell is a sampled estimate.
 //! ```
 //!
 //! Each experiment imposes its own figure grid (a named
@@ -59,7 +45,7 @@
 
 use std::process::ExitCode;
 use vpsim_bench::experiments as exp;
-use vpsim_bench::scenario::{resolve_cli_base, Scenario};
+use vpsim_bench::scenario::{resolve_cli, Scenario};
 use vpsim_stats::table::Table;
 use vpsim_uarch::RecoveryPolicy;
 
@@ -67,36 +53,23 @@ struct Options {
     scenario: Scenario,
     csv: bool,
     dump: bool,
-    stall_report: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<(Vec<String>, Options), String> {
     let mut base = Scenario::default();
     base.settings.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (mut scenario, rest, _) = resolve_cli_base(base, args)?;
+    let cli = resolve_cli(base, args, &[])?;
     let mut csv = false;
-    let mut dump = false;
-    let mut stall_report = false;
     let mut experiments = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut val = || -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{arg} requires a value"))
-        };
+    for arg in cli.rest {
         match arg.as_str() {
-            "--set" => scenario.set(val()?)?,
             "--csv" => csv = true,
-            "--dump-scenario" => dump = true,
-            "--stall-report" => stall_report = true,
-            "--sample" => scenario.apply("sample", "on")?,
-            flag @ ("--warmup" | "--measure" | "--scale" | "--seed" | "--threads"
-            | "--benchmarks") => scenario.apply(&flag[2..], val()?)?,
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
-            experiment => experiments.push(experiment.to_string()),
+            _ => experiments.push(arg),
         }
     }
-    scenario.validate()?;
-    Ok((experiments, Options { scenario, csv, dump, stall_report }))
+    cli.scenario.validate()?;
+    Ok((experiments, Options { scenario: cli.scenario, csv, dump: cli.dump }))
 }
 
 fn emit(title: &str, table: &Table, csv: bool) {
@@ -203,7 +176,7 @@ fn main() -> ExitCode {
                 print!("{}", options.scenario);
                 return ExitCode::SUCCESS;
             }
-            if experiments.is_empty() && !options.stall_report {
+            if experiments.is_empty() {
                 eprintln!("error: no experiment named");
                 return ExitCode::FAILURE;
             }
@@ -212,12 +185,6 @@ fn main() -> ExitCode {
                     eprintln!("error: {msg}");
                     return ExitCode::FAILURE;
                 }
-            }
-            if options.stall_report {
-                // Per-cell stall attribution over the scenario's own grid
-                // (conservation-checked inside run_stall_report).
-                let results = options.scenario.to_spec().run_stall_report();
-                emit("Stall attribution (measured window)", &results.table(), options.csv);
             }
             ExitCode::SUCCESS
         }

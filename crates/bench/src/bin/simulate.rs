@@ -9,29 +9,17 @@
 //!   k:calls, k:randbranch, k:matmul
 //!
 //! Options:
-//!   --scenario FILE  Load a scenario file; simulate runs its first
-//!                    workload and first grid point
-//!   --preset NAME    Start from a named scenario preset
-//!   --set KEY=VALUE  Override one scenario key (repeatable)
-//!   --dump-scenario  Print the resolved scenario and exit
-//!   --predictor P    lvp | stride | pp-str | fcm | dfcm | vtage |
-//!                    vtage-2dstr | fcm-2dstr | gdiff | sag-lvp | oracle
-//!                                                             [default none]
-//!   --counters C     baseline | fpc | full1..full8 | fpc-squash |
-//!                    fpc-reissue | fpc:p0.….p6                 [default fpc]
-//!   --recovery R     squash | reissue                          [default squash]
-//!   --warmup N / --measure N / --scale N / --seed N
 //!   --stall-report   Attach the pipeline event tap and print per-cause
 //!                    stall attribution (every measured cycle charged to
 //!                    exactly one cause) plus mean queue occupancies
 //!   --cycle-log N    Keep the last N tap events in a ring buffer and
 //!                    print them after the result (implies the tap)
-//!   --sample         Interval sampling: replay only systematically
-//!                    selected intervals in detail and print the sampled
-//!                    IPC estimate with its 95% confidence interval
-//!                    (sugar for --set sample=on; tune with --set
-//!                    sample.intervals=K, sample.period=N, sample.warmup=W;
-//!                    ignored under --stall-report / --cycle-log)
+//!
+//! Scenario options (--scenario, --preset, --set, --KEY VALUE, --predictor,
+//! --counters, --sample, --dump-scenario) are shared with sweep and paper:
+//! see `vpsim_bench::scenario::resolve_cli`. The default is no value
+//! prediction. --sample prints the sampled IPC estimate with its 95%
+//! confidence interval; it is ignored under --stall-report / --cycle-log.
 //! ```
 //!
 //! Everything resolves through a `vpsim_bench::scenario::Scenario` (the
@@ -42,7 +30,7 @@
 //! whole grid.
 
 use std::process::ExitCode;
-use vpsim_bench::scenario::{resolve_cli_base, Scenario};
+use vpsim_bench::scenario::{resolve_cli, Scenario};
 use vpsim_bench::TraceCache;
 use vpsim_stats::stall::{CycleCause, StallReport};
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
@@ -60,44 +48,32 @@ fn parse_args(args: &[String]) -> Result<(Scenario, Flags), String> {
     // grid) asks for it. Bare `simulate` (no selector) still requires a
     // workload argument.
     let base = Scenario { predictors: Vec::new(), ..Scenario::default() };
-    let (mut scenario, rest, has_base) = resolve_cli_base(base, args)?;
-    let mut workload: Option<String> = None;
-    let mut flags = Flags { dump: false, stall_report: false, cycle_log: None };
-    let mut it = rest.iter();
+    let cli = resolve_cli(base, args, &["--cycle-log"])?;
+    let mut scenario = cli.scenario;
+    let mut workload: Option<&str> = None;
+    let mut flags = Flags { dump: cli.dump, stall_report: false, cycle_log: None };
+    let mut it = cli.rest.iter();
     while let Some(arg) = it.next() {
-        let mut val = || -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{arg} requires a value"))
-        };
         match arg.as_str() {
-            "--set" => scenario.set(val()?)?,
-            "--dump-scenario" => flags.dump = true,
             "--stall-report" => flags.stall_report = true,
             "--cycle-log" => {
-                let n: usize =
-                    val()?.parse().map_err(|e| format!("--cycle-log wants a count: {e}"))?;
+                let n = it.next().ok_or("--cycle-log requires a value")?;
+                let n: usize = n.parse().map_err(|e| format!("--cycle-log wants a count: {e}"))?;
                 if n == 0 {
                     return Err("--cycle-log must keep at least one event".into());
                 }
                 flags.cycle_log = Some(n);
             }
-            "--sample" => scenario.apply("sample", "on")?,
-            // Single-valued sugar for the grid axes.
-            "--predictor" => scenario.apply("predictors", val()?)?,
-            "--counters" => scenario.apply("confidence", val()?)?,
-            "--recovery" => scenario.apply("recovery", val()?)?,
-            flag @ ("--warmup" | "--measure" | "--scale" | "--seed") => {
-                scenario.apply(&flag[2..], val()?)?
-            }
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
             name => match workload {
-                None => workload = Some(name.to_string()),
+                None => workload = Some(name),
                 Some(_) => return Err(format!("unexpected extra workload {name}")),
             },
         }
     }
     match workload {
-        Some(name) => scenario.apply("benchmarks", &name)?,
-        None if has_base => {}
+        Some(name) => scenario.apply("benchmarks", name)?,
+        None if cli.selected => {}
         None => return Err("no workload named (and no --scenario/--preset)".into()),
     }
     scenario.validate()?;

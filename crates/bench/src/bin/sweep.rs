@@ -1,11 +1,11 @@
 //! `sweep` — expand a declarative (predictor × confidence × recovery ×
 //! benchmark) grid and run it on the parallel sweep engine.
 //!
-//! The grid is a [`vpsim_bench::scenario::Scenario`], resolved in layers:
-//! built-in defaults, then `--preset NAME` or `--scenario FILE`, then
-//! `--set key=value` overrides and the dedicated flags below in
-//! command-line order. `--dump-scenario` prints the fully-resolved
-//! scenario (itself a loadable scenario file) instead of running.
+//! The grid is a [`vpsim_bench::scenario::Scenario`], resolved by the
+//! scenario options shared with simulate and paper (--scenario, --preset,
+//! --set, --KEY VALUE, --predictor, --counters, --sample, --dump-scenario:
+//! see `vpsim_bench::scenario::resolve_cli`). The default grid is the
+//! paper's headline grid on every hardware thread.
 //!
 //! The no-VP baseline is always run alongside the grid so every row can
 //! report a speedup. Output is merged in job-index order, so any
@@ -15,23 +15,7 @@
 //! Usage: sweep [options]
 //!
 //! Options:
-//!   --scenario FILE    Load a scenario file (key = value lines)
-//!   --preset NAME      Start from a named preset (--list-presets)
-//!   --set KEY=VALUE    Override one scenario key (repeatable)
-//!   --dump-scenario    Print the resolved scenario and exit
 //!   --list-presets     Print the preset registry and exit
-//!   --threads N        Worker threads        [default: all hardware threads]
-//!   --predictors LIST  Comma-separated predictor names (lvp, 2d-str, pp-str,
-//!                      fcm, dfcm, vtage, vtage-2dstr, fcm-2dstr, gdiff,
-//!                      sag-lvp, oracle)      [default: lvp,2d-str,fcm,vtage]
-//!   --confidence LIST  baseline | fpc | full1..full8 | fpc-squash |
-//!                      fpc-reissue | fpc:p0.….p6       [default: fpc]
-//!   --recovery LIST    squash | reissue                [default: squash]
-//!   --benchmarks LIST  Table 3 names and k:* kernels   [default: all 19]
-//!   --warmup N         Warm-up instructions per run    [default 50000]
-//!   --measure N        Measured instructions per run   [default 200000]
-//!   --scale N          Workload footprint multiplier   [default 1]
-//!   --seed N           RNG seed                        [default 0x2014]
 //!   --matrix           Speedup matrix (benchmark rows × grid-point columns)
 //!                      instead of the long-form table
 //!   --stall-report     Attach the pipeline event tap to every job and
@@ -41,12 +25,6 @@
 //!                      conservation-checked against its RunResult
 //!   --csv              Emit CSV instead of aligned text
 //!   --json             Emit JSON (array of row objects) instead of text
-//!   --sample           Interval sampling: fast-forward the trace through a
-//!                      functional warmer and replay only systematically
-//!                      selected intervals in detail — an IPC estimate at a
-//!                      fraction of the replay cost (sugar for --set
-//!                      sample=on; tune with --set sample.intervals=K,
-//!                      sample.period=N, sample.warmup=W)
 //!   --timing-json F    Write capture/replay/total wall-clock, job/µop
 //!                      counts, store hit/miss counters and ns-per-µop
 //!                      to F as JSON (see BENCH_sweep.json)
@@ -76,7 +54,7 @@
 use std::process::ExitCode;
 use vpsim_bench::protocol::{render_output, render_table, Format, View};
 use vpsim_bench::remote;
-use vpsim_bench::scenario::{presets, resolve_cli_base, Scenario};
+use vpsim_bench::scenario::{presets, resolve_cli, Scenario};
 use vpsim_bench::store::Stores;
 
 struct Options {
@@ -96,22 +74,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     // CLI default: use every hardware thread (a scenario file or a later
     // --threads flag still overrides this).
     base.settings.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (mut scenario, rest, _) = resolve_cli_base(base, args)?;
+    let cli = resolve_cli(base, args, &["--timing-json", "--store", "--remote"])?;
     let mut view = View::Long;
     let mut format = Format::Ascii;
     let mut stall_report = false;
-    let mut dump = false;
     let mut list_presets = false;
     let mut timing_json = None;
     let mut store = None;
     let mut remote = None;
-    let mut it = rest.iter();
+    let mut it = cli.rest.iter();
     while let Some(arg) = it.next() {
-        let mut val = || -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{arg} requires a value"))
-        };
+        let mut val = || it.next().cloned().ok_or_else(|| format!("{arg} requires a value"));
         match arg.as_str() {
-            "--set" => scenario.set(val()?)?,
             "--matrix" => view = View::Matrix,
             "--stall-report" => stall_report = true,
             "--csv" | "--json" => {
@@ -121,17 +95,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
                 format = chosen;
             }
-            "--dump-scenario" => dump = true,
             "--list-presets" => list_presets = true,
-            "--sample" => scenario.apply("sample", "on")?,
-            "--timing-json" => timing_json = Some(val()?.clone()),
-            "--store" => store = Some(val()?.clone()),
-            "--remote" => remote = Some(val()?.clone()),
-            // Dedicated flags are sugar for --set with the same key.
-            flag @ ("--threads" | "--predictors" | "--confidence" | "--recovery"
-            | "--benchmarks" | "--warmup" | "--measure" | "--scale" | "--seed") => {
-                scenario.apply(&flag[2..], val()?)?
-            }
+            "--timing-json" => timing_json = Some(val()?),
+            "--store" => store = Some(val()?),
+            "--remote" => remote = Some(val()?),
             other => return Err(format!("unknown option {other}")),
         }
     }
@@ -152,13 +119,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             return Err("--store configures local stores; the server manages its own".into());
         }
     }
-    scenario.validate()?;
+    cli.scenario.validate()?;
     Ok(Options {
-        scenario,
+        scenario: cli.scenario,
         view,
         format,
         stall_report,
-        dump,
+        dump: cli.dump,
         list_presets,
         timing_json,
         store,

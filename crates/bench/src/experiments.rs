@@ -10,7 +10,7 @@
 //! grid without changing a byte of output.
 
 use crate::scenario::{self, Scenario};
-use crate::sweep::SweepResults;
+use crate::sweep::{GridPoint, SweepResults};
 use crate::trace_cache::TraceCache;
 use vpsim_core::{ConfidenceScheme, Predictor, PredictorKind};
 use vpsim_isa::DynInst;
@@ -195,26 +195,12 @@ pub fn fig45(sc: &Scenario, recovery: RecoveryPolicy, fpc: bool) -> Table {
         (RecoveryPolicy::SelectiveReissue, false) => "fig5a",
         (RecoveryPolicy::SelectiveReissue, true) => "fig5b",
     };
-    let results = preset_results(sc, name);
-    let base = &results.baseline;
-    let mut headers = vec!["Benchmark".into()];
-    headers.extend(results.points.iter().map(|(p, _)| p.kind.label().to_string()));
-    let mut t = Table::new(headers);
-    let per_kind: Vec<Vec<f64>> =
-        results.points.iter().map(|(_, suite)| suite.speedups(base)).collect();
-    for (i, b) in sc.benches.iter().enumerate() {
-        let mut row = vec![b.name.to_string()];
-        for col in &per_kind {
-            row.push(fmt_f(col[i], 3));
-        }
-        t.row(row);
-    }
-    let mut grow = vec!["g-mean".to_string()];
-    for col in &per_kind {
-        grow.push(fmt_f(mean::geometric(col).unwrap_or(1.0), 3));
-    }
-    t.row(grow);
-    t
+    preset_results(sc, name).matrix_by(predictor_label)
+}
+
+/// A speedup-matrix column header: the grid point's predictor alone.
+fn predictor_label(p: &GridPoint) -> String {
+    p.kind.label().to_string()
 }
 
 /// Figure 6: VTAGE speedup and coverage, baseline counters vs FPC
@@ -450,26 +436,7 @@ pub fn ablation_vtage(sc: &Scenario) -> Table {
 /// VTAGE) against the paper's headline hybrid — the paper's future-work
 /// section, made concrete — preset `ablation-extended`.
 pub fn ablation_extended(sc: &Scenario) -> Table {
-    let results = preset_results(sc, "ablation-extended");
-    let base = &results.baseline;
-    let mut headers = vec!["Benchmark".into()];
-    headers.extend(results.points.iter().map(|(p, _)| p.kind.label().to_string()));
-    let mut t = Table::new(headers);
-    let speedups: Vec<Vec<f64>> =
-        results.points.iter().map(|(_, suite)| suite.speedups(base)).collect();
-    for (i, b) in sc.benches.iter().enumerate() {
-        let mut row = vec![b.name.to_string()];
-        for sp in &speedups {
-            row.push(fmt_f(sp[i], 3));
-        }
-        t.row(row);
-    }
-    let mut grow = vec!["g-mean".to_string()];
-    for sp in &speedups {
-        grow.push(fmt_f(mean::geometric(sp).unwrap_or(1.0), 3));
-    }
-    t.row(grow);
-    t
+    preset_results(sc, "ablation-extended").matrix_by(predictor_label)
 }
 
 /// §5 ablation: counter width vs FPC. The paper notes that "simply using
@@ -478,7 +445,7 @@ pub fn ablation_extended(sc: &Scenario) -> Table {
 /// storage; this experiment runs VTAGE under 3/6/7-bit full counters and
 /// both FPC vectors (squash-at-commit recovery).
 pub fn counters(sc: &Scenario) -> Table {
-    use crate::sweep::{GridPoint, SchemeChoice};
+    use crate::sweep::SchemeChoice;
     // Row label and bits-per-entry column, derived from the grid point
     // itself so the preset stays free to evolve. SAg carries its own
     // pattern table, hence the odd bits-per-entry entry.

@@ -48,137 +48,85 @@ use vpsim_core::PredictorKind;
 use vpsim_uarch::{CoreConfig, RecoveryPolicy, SampleConfig};
 use vpsim_workloads::{all_benchmarks, all_microkernels, Benchmark};
 
-/// Every key the text format and `--set` accept, quoted by parse errors.
+/// Every top-level key the text format and `--set` accept, quoted by
+/// parse errors; the `core.*` keys are [`CoreOverrides`]' fields.
 const KEYS: &str = "warmup, measure, scale, seed, threads, trace_cache, sample, sample.intervals, \
                     sample.period, sample.warmup, predictors, confidence, recovery, points, \
-                    benchmarks, core.<field>";
+                    benchmarks";
 
-/// The `core.*` field names, quoted by parse errors.
-const CORE_KEYS: &str = "fetch_width, taken_branches_per_cycle, frontend_depth, issue_width, \
-                         retire_width, rob_entries, iq_entries, lq_entries, sq_entries, \
-                         int_prf, fp_prf, store_set_entries";
+/// The one table of `core.*` keys: each row is a [`CoreConfig`] field of
+/// the same name and type. It generates [`CoreOverrides`]' fields, their
+/// application onto Table 2, their parsing and their render order.
+macro_rules! core_fields {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {
+        /// Structural overrides on top of the Table 2 [`CoreConfig`]. `None`
+        /// keeps the paper default; only set fields are rendered into
+        /// scenario files.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct CoreOverrides {
+            $($(#[$doc])* pub $field: Option<$ty>,)*
+        }
 
-/// Structural overrides on top of the Table 2 [`CoreConfig`]. `None` keeps
-/// the paper default; only set fields are rendered into scenario files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CoreOverrides {
+        impl CoreOverrides {
+            /// The overridden fields applied to `base`.
+            pub fn apply(&self, mut base: CoreConfig) -> CoreConfig {
+                $(if let Some(v) = self.$field {
+                    base.$field = v;
+                })*
+                base
+            }
+
+            /// Set one field by its `core.`-less name.
+            fn set(&mut self, field: &str, value: &str) -> Result<(), String> {
+                let n = parse_number(value).map_err(|e| format!("core.{field}: {e}"))?;
+                match field {
+                    $(stringify!($field) => self.$field = Some(n as $ty),)*
+                    other => {
+                        let valid = [$(stringify!($field)),*].join(", ");
+                        return Err(format!("unknown core field {other} (valid: {valid})"));
+                    }
+                }
+                Ok(())
+            }
+
+            /// `(name, value)` pairs for the overridden fields, in render
+            /// order.
+            fn entries(&self) -> Vec<(&'static str, u64)> {
+                let fields = [$((stringify!($field), self.$field.map(|v| v as u64))),*];
+                fields.into_iter().filter_map(|(name, v)| v.map(|v| (name, v))).collect()
+            }
+        }
+    };
+}
+
+core_fields! {
     /// Fetch/decode/rename width in µops.
-    pub fetch_width: Option<usize>,
+    fetch_width: usize,
     /// Maximum taken branches fetched per cycle.
-    pub taken_branches_per_cycle: Option<usize>,
+    taken_branches_per_cycle: usize,
     /// Front-end depth in cycles.
-    pub frontend_depth: Option<u64>,
+    frontend_depth: u64,
     /// Issue width.
-    pub issue_width: Option<usize>,
+    issue_width: usize,
     /// Retire width.
-    pub retire_width: Option<usize>,
+    retire_width: usize,
     /// Reorder buffer entries.
-    pub rob_entries: Option<usize>,
+    rob_entries: usize,
     /// Issue queue entries.
-    pub iq_entries: Option<usize>,
+    iq_entries: usize,
     /// Load queue entries.
-    pub lq_entries: Option<usize>,
+    lq_entries: usize,
     /// Store queue entries.
-    pub sq_entries: Option<usize>,
+    sq_entries: usize,
     /// Integer physical registers.
-    pub int_prf: Option<usize>,
+    int_prf: usize,
     /// Floating-point physical registers.
-    pub fp_prf: Option<usize>,
+    fp_prf: usize,
     /// Store-set SSIT entries (must stay a power of two).
-    pub store_set_entries: Option<usize>,
+    store_set_entries: usize,
 }
 
 impl CoreOverrides {
-    /// `true` when no field is overridden.
-    pub fn is_empty(&self) -> bool {
-        *self == CoreOverrides::default()
-    }
-
-    /// The overridden fields applied to `base`.
-    pub fn apply(&self, mut base: CoreConfig) -> CoreConfig {
-        if let Some(v) = self.fetch_width {
-            base.fetch_width = v;
-        }
-        if let Some(v) = self.taken_branches_per_cycle {
-            base.taken_branches_per_cycle = v;
-        }
-        if let Some(v) = self.frontend_depth {
-            base.frontend_depth = v;
-        }
-        if let Some(v) = self.issue_width {
-            base.issue_width = v;
-        }
-        if let Some(v) = self.retire_width {
-            base.retire_width = v;
-        }
-        if let Some(v) = self.rob_entries {
-            base.rob_entries = v;
-        }
-        if let Some(v) = self.iq_entries {
-            base.iq_entries = v;
-        }
-        if let Some(v) = self.lq_entries {
-            base.lq_entries = v;
-        }
-        if let Some(v) = self.sq_entries {
-            base.sq_entries = v;
-        }
-        if let Some(v) = self.int_prf {
-            base.int_prf = v;
-        }
-        if let Some(v) = self.fp_prf {
-            base.fp_prf = v;
-        }
-        if let Some(v) = self.store_set_entries {
-            base.store_set_entries = v;
-        }
-        base
-    }
-
-    /// Set one field by its `core.`-less name.
-    fn set(&mut self, field: &str, value: &str) -> Result<(), String> {
-        let n = parse_number(value).map_err(|e| format!("core.{field}: {e}"))?;
-        let slot = match field {
-            "fetch_width" => &mut self.fetch_width,
-            "taken_branches_per_cycle" => &mut self.taken_branches_per_cycle,
-            "frontend_depth" => {
-                self.frontend_depth = Some(n);
-                return Ok(());
-            }
-            "issue_width" => &mut self.issue_width,
-            "retire_width" => &mut self.retire_width,
-            "rob_entries" => &mut self.rob_entries,
-            "iq_entries" => &mut self.iq_entries,
-            "lq_entries" => &mut self.lq_entries,
-            "sq_entries" => &mut self.sq_entries,
-            "int_prf" => &mut self.int_prf,
-            "fp_prf" => &mut self.fp_prf,
-            "store_set_entries" => &mut self.store_set_entries,
-            other => return Err(format!("unknown core field {other} (valid: {CORE_KEYS})")),
-        };
-        *slot = Some(n as usize);
-        Ok(())
-    }
-
-    /// `(name, value)` pairs for the overridden fields, in canonical order.
-    fn entries(&self) -> Vec<(&'static str, u64)> {
-        let fields: [(&'static str, Option<u64>); 12] = [
-            ("fetch_width", self.fetch_width.map(|v| v as u64)),
-            ("taken_branches_per_cycle", self.taken_branches_per_cycle.map(|v| v as u64)),
-            ("frontend_depth", self.frontend_depth),
-            ("issue_width", self.issue_width.map(|v| v as u64)),
-            ("retire_width", self.retire_width.map(|v| v as u64)),
-            ("rob_entries", self.rob_entries.map(|v| v as u64)),
-            ("iq_entries", self.iq_entries.map(|v| v as u64)),
-            ("lq_entries", self.lq_entries.map(|v| v as u64)),
-            ("sq_entries", self.sq_entries.map(|v| v as u64)),
-            ("int_prf", self.int_prf.map(|v| v as u64)),
-            ("fp_prf", self.fp_prf.map(|v| v as u64)),
-            ("store_set_entries", self.store_set_entries.map(|v| v as u64)),
-        ];
-        fields.into_iter().filter_map(|(name, v)| v.map(|v| (name, v))).collect()
-    }
-
     /// [`CoreConfig::validate`] on the overrides applied to Table 2, with
     /// the offending field named by its scenario key.
     fn validate(&self) -> Result<(), String> {
@@ -289,7 +237,9 @@ impl Scenario {
             }
             _ => match key.strip_prefix("core.") {
                 Some(field) => self.core.set(field, value)?,
-                None => return Err(format!("unknown scenario key {key} (valid: {KEYS})")),
+                None => {
+                    return Err(format!("unknown scenario key {key} (valid: {KEYS}, core.<field>)"))
+                }
             },
         }
         Ok(())
@@ -297,10 +247,8 @@ impl Scenario {
 
     /// Apply one `key=value` override in `--set` syntax.
     pub fn set(&mut self, assignment: &str) -> Result<(), String> {
-        let (key, value) = assignment
-            .split_once('=')
-            .ok_or_else(|| format!("--set {assignment}: expected key=value"))?;
-        self.apply(key.trim(), value)
+        let (key, value) = split_assignment(assignment)?;
+        self.apply(key, value)
     }
 
     /// Overlay a scenario text onto `self`: keys present in `text` replace
@@ -563,42 +511,107 @@ impl ScenarioBuilder {
     }
 }
 
-/// Shared CLI plumbing for the three binaries: split `--scenario FILE` /
-/// `--preset NAME` out of `args` (at most one of the two; repeats are
-/// rejected) and resolve the base scenario. A scenario file is overlaid
-/// onto `base`, so keys the file omits keep the binary's defaults; a
-/// preset replaces `base` except for its worker-thread count, which is an
-/// execution detail, not part of a preset's identity. Returns the
-/// resolved scenario, the remaining arguments in order, and whether a
-/// selector was present.
-pub fn resolve_cli_base(
-    mut base: Scenario,
+/// The shared scenario flags of a command line, as resolved by
+/// [`resolve_cli`].
+#[derive(Debug)]
+pub struct CliScenario {
+    /// The resolved scenario, not yet validated: the binary may still
+    /// apply its own arguments (`simulate`'s positional workload).
+    pub scenario: Scenario,
+    /// Every other argument, verbatim and in command-line order.
+    pub rest: Vec<String>,
+    /// `true` when `--scenario` or `--preset` was given.
+    pub selected: bool,
+    /// `true` when `--dump-scenario` was given: print the scenario and
+    /// exit.
+    pub dump: bool,
+}
+
+/// The one command-line front end of the scenario layer, shared by
+/// `simulate`, `sweep` and `paper`. It resolves these flags onto `base`
+/// (the binary's defaults):
+///
+/// ```text
+///   --scenario FILE   Overlay a scenario file; keys it omits keep the
+///                     binary's defaults
+///   --preset NAME     Start from a named preset (sweep --list-presets);
+///                     the binary's worker-thread count is kept
+///   --set KEY=VALUE   Override one scenario key (repeatable)
+///   --KEY VALUE       Same as --set KEY=VALUE, for warmup, measure, scale,
+///                     seed, threads, predictors, confidence, recovery,
+///                     points and benchmarks
+///   --predictor P     Same as --predictors P
+///   --counters C      Same as --confidence C
+///   --sample          Same as --set sample=on: interval sampling, tuned
+///                     with --set sample.intervals=K, sample.period=N and
+///                     sample.warmup=W
+///   --dump-scenario   Print the resolved scenario and exit
+/// ```
+///
+/// At most one of `--scenario` and `--preset` may be given, and it is
+/// resolved first; `--set` and the `--KEY` spellings then apply in
+/// command-line order. Every other argument is returned in
+/// [`CliScenario::rest`], verbatim and in order; a flag listed in
+/// `binary_valued` is passed through together with its value, whatever
+/// that value looks like. An unknown key or value is an error that lists
+/// every valid spelling.
+pub fn resolve_cli(
+    base: Scenario,
     args: &[String],
-) -> Result<(Scenario, Vec<String>, bool), String> {
-    let mut rest = Vec::new();
-    let mut found: Option<&str> = None;
-    let mut it = args.iter();
+    binary_valued: &[&str],
+) -> Result<CliScenario, String> {
+    let mut cli = CliScenario { scenario: base, rest: Vec::new(), selected: false, dump: false };
+    let mut selector: Option<&str> = None;
+    let mut edits: Vec<(&str, &str)> = Vec::new();
+    let mut it = args.iter().map(String::as_str);
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            sel @ ("--scenario" | "--preset") => {
-                let value = it.next().ok_or_else(|| format!("{sel} requires a value"))?;
-                match found {
-                    Some(prev) if prev == sel => return Err(format!("{sel} given twice")),
-                    Some(prev) => return Err(format!("{sel} cannot be combined with {prev}")),
-                    None => found = Some(sel),
+        let mut value = || it.next().ok_or_else(|| format!("{arg} requires a value"));
+        match arg {
+            "--scenario" | "--preset" => {
+                let value = value()?;
+                match selector {
+                    Some(prev) if prev == arg => return Err(format!("{arg} given twice")),
+                    Some(prev) => return Err(format!("{arg} cannot be combined with {prev}")),
+                    None => selector = Some(arg),
                 }
-                if sel == "--scenario" {
-                    base.apply_file(value)?;
+                if arg == "--scenario" {
+                    cli.scenario.apply_file(value)?;
                 } else {
-                    let threads = base.settings.threads;
-                    base = preset(value)?;
-                    base.settings.threads = threads;
+                    let threads = cli.scenario.settings.threads;
+                    cli.scenario = preset(value)?;
+                    cli.scenario.settings.threads = threads;
                 }
             }
-            other => rest.push(other.to_string()),
+            "--set" => edits.push(split_assignment(value()?)?),
+            "--sample" => edits.push(("sample", "on")),
+            "--predictor" => edits.push(("predictors", value()?)),
+            "--counters" => edits.push(("confidence", value()?)),
+            "--dump-scenario" => cli.dump = true,
+            _ => match arg.strip_prefix("--").filter(|key| is_flag_key(key)) {
+                Some(key) => edits.push((key, value()?)),
+                None => {
+                    cli.rest.push(arg.to_string());
+                    if binary_valued.contains(&arg) {
+                        cli.rest.extend(it.next().map(str::to_string));
+                    }
+                }
+            },
         }
     }
-    Ok((base, rest, found.is_some()))
+    for (key, value) in edits {
+        cli.scenario.apply(key, value)?;
+    }
+    cli.selected = selector.is_some();
+    Ok(cli)
+}
+
+/// Whether `key` is also spelled `--KEY VALUE` on the command line: every
+/// top-level key with a value. `sample` is the switch `--sample`, and
+/// `trace_cache` is a no-op kept only so older scenario files load.
+fn is_flag_key(key: &str) -> bool {
+    KEYS.split(", ").any(|k| k == key)
+        && !key.contains('.')
+        && !matches!(key, "sample" | "trace_cache")
 }
 
 // ---------------------------------------------------------------------------
@@ -885,6 +898,14 @@ pub fn presets() -> Vec<(&'static str, &'static str)> {
 // Text-format helpers
 // ---------------------------------------------------------------------------
 
+/// Split a `key=value` assignment into its trimmed key and its value.
+fn split_assignment(assignment: &str) -> Result<(&str, &str), String> {
+    let (key, value) = assignment
+        .split_once('=')
+        .ok_or_else(|| format!("--set {assignment}: expected key=value"))?;
+    Ok((key.trim(), value))
+}
+
 /// Parse a decimal or `0x`-prefixed hexadecimal number.
 fn parse_number(s: &str) -> Result<u64, String> {
     let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -1140,6 +1161,41 @@ mod tests {
         let b: Scenario = "core.fetch_width = 4\npredictors = vtage".parse().unwrap();
         assert_eq!(a, b);
         assert!(a.set("fetch_width").unwrap_err().contains("key=value"));
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn cli_passes_other_arguments_through_in_order() {
+        let line = "k:chase --cycle-log 5 --measure 700 --store --set --x --set seed=3 --json";
+        let cli = resolve_cli(Scenario::default(), &args(line), &["--cycle-log", "--store"]);
+        let cli = cli.unwrap();
+        assert_eq!(cli.rest, args("k:chase --cycle-log 5 --store --set --x --json"));
+        assert_eq!((cli.scenario.settings.measure, cli.scenario.settings.seed), (700, 3));
+        assert!(!cli.selected && !cli.dump);
+        // A binary flag that ends the line passes through alone.
+        let cli = resolve_cli(Scenario::default(), &args("--store"), &["--store"]).unwrap();
+        assert_eq!(cli.rest, args("--store"));
+    }
+
+    #[test]
+    fn cli_resolves_the_selector_first_and_the_rest_in_order() {
+        let line = "--measure 1 --set measure=2 --preset smoke --counters baseline --dump-scenario";
+        let cli = resolve_cli(Scenario::default(), &args(line), &[]).unwrap();
+        let mut expected = preset("smoke").unwrap();
+        expected.set("measure=2").unwrap();
+        expected.set("confidence=baseline").unwrap();
+        assert_eq!(cli.scenario, expected);
+        assert!(cli.selected && cli.dump && cli.rest.is_empty());
+        let err = resolve_cli(Scenario::default(), &args("--preset smoke --preset fig3"), &[]);
+        assert_eq!(err.unwrap_err(), "--preset given twice");
+        let err = resolve_cli(Scenario::default(), &args("--seed"), &[]).unwrap_err();
+        assert_eq!(err, "--seed requires a value");
+        // Dotted and no-op keys have no `--KEY` spelling.
+        let cli = resolve_cli(Scenario::default(), &args("--trace_cache on"), &[]).unwrap();
+        assert_eq!(cli.rest, args("--trace_cache on"));
     }
 
     #[test]

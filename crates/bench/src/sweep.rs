@@ -963,8 +963,14 @@ impl SweepResults {
     /// Matrix view: benchmarks as rows, one speedup column per grid
     /// point, with a final `g-mean` row.
     pub fn matrix(&self) -> Table {
+        self.matrix_by(GridPoint::label)
+    }
+
+    /// [`SweepResults::matrix`] with each column headed by `label` of its
+    /// grid point (the figure tables head theirs with the predictor alone).
+    pub fn matrix_by(&self, label: impl Fn(&GridPoint) -> String) -> Table {
         let mut headers = vec!["Benchmark".into()];
-        headers.extend(self.points.iter().map(|(p, _)| p.label()));
+        headers.extend(self.points.iter().map(|(p, _)| label(p)));
         let mut t = Table::new(headers);
         let speedups: Vec<Vec<f64>> =
             self.points.iter().map(|(_, suite)| suite.speedups(&self.baseline)).collect();

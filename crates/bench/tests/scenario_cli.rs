@@ -6,6 +6,10 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+/// The three binaries that share the scenario front end.
+const BINARIES: [&str; 3] =
+    [env!("CARGO_BIN_EXE_simulate"), env!("CARGO_BIN_EXE_sweep"), env!("CARGO_BIN_EXE_paper")];
+
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().expect("binary runs")
 }
@@ -109,20 +113,62 @@ fn sweep_unknown_predictor_lists_every_spelling() {
 }
 
 #[test]
-fn sweep_smoke_dump_matches_the_golden_file() {
-    // CI runs the same invocation; the golden file keeps the rendered
+fn smoke_dump_matches_the_golden_file_in_every_binary() {
+    // CI runs the same invocations; the golden file keeps the rendered
     // format honest across refactors.
     let scenario = repo_root().join("examples/scenarios/smoke.vps");
+    let scenario = scenario.to_str().unwrap();
     let golden = repo_root().join("examples/scenarios/smoke.golden.vps");
+    let expected = std::fs::read_to_string(&golden).expect("golden file");
     let dumped = stdout(&run(
         env!("CARGO_BIN_EXE_sweep"),
-        &["--scenario", scenario.to_str().unwrap(), "--threads", "2", "--dump-scenario"],
+        &["--scenario", scenario, "--threads", "2", "--dump-scenario"],
     ));
-    let expected = std::fs::read_to_string(&golden).expect("golden file");
     assert_eq!(
         dumped, expected,
         "regenerate with: sweep --scenario {scenario:?} --threads 2 --dump-scenario"
     );
+    for bin in BINARIES {
+        let args = ["--scenario", scenario, "--set", "threads=2", "--dump-scenario"];
+        assert_eq!(stdout(&run(bin, &args)), expected, "{bin}");
+    }
+}
+
+#[test]
+fn every_sugar_flag_dumps_like_its_set_spelling_in_every_binary() {
+    // (flag, value, the `--set` assignment it stands for); each value
+    // differs from the smoke preset's, so a flag that is dropped fails.
+    let sugar = [
+        ("--warmup", "1234", "warmup=1234"),
+        ("--measure", "5678", "measure=5678"),
+        ("--scale", "3", "scale=3"),
+        ("--seed", "0x77", "seed=0x77"),
+        ("--threads", "5", "threads=5"),
+        ("--predictors", "lvp,oracle", "predictors=lvp,oracle"),
+        ("--predictor", "fcm-2dstr", "predictors=fcm-2dstr"),
+        ("--confidence", "baseline,full6", "confidence=baseline,full6"),
+        ("--counters", "fpc-reissue", "confidence=fpc-reissue"),
+        ("--recovery", "reissue", "recovery=reissue"),
+        ("--points", "lvp/fpc/squash", "points=lvp/fpc/squash"),
+        ("--benchmarks", "lbm,k:chase", "benchmarks=lbm,k:chase"),
+    ];
+    let dump = |bin: &str, extra: &[&str]| {
+        let mut args = vec!["--preset", "smoke"];
+        args.extend_from_slice(extra);
+        args.push("--dump-scenario");
+        stdout(&run(bin, &args))
+    };
+    for bin in BINARIES {
+        let plain = dump(bin, &[]);
+        for (flag, value, assignment) in sugar {
+            let sugared = dump(bin, &[flag, value]);
+            assert_ne!(sugared, plain, "{bin} {flag} {value} changed nothing");
+            assert_eq!(sugared, dump(bin, &["--set", assignment]), "{bin} {flag} {value}");
+        }
+        let sampled = dump(bin, &["--sample"]);
+        assert_ne!(sampled, plain, "{bin} --sample changed nothing");
+        assert_eq!(sampled, dump(bin, &["--set", "sample=on"]), "{bin} --sample");
+    }
 }
 
 #[test]

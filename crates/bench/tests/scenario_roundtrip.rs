@@ -129,3 +129,28 @@ fn rendered_scenarios_are_stable_under_a_second_round_trip() {
     let twice = once.parse::<Scenario>().unwrap().to_string();
     assert_eq!(once, twice);
 }
+
+#[test]
+fn core_override_presets_render_and_hash_as_committed() {
+    // The only presets with core overrides: their text pins the `core.*`
+    // render order, and their `cache_hash` is a store identity.
+    let head = "warmup = 50000\nmeasure = 200000\nscale = 1\nseed = 8212\nthreads = 1\n\
+                trace_cache = on\npredictors = vtage-2dstr\nconfidence = fpc\nrecovery = squash\n\
+                benchmarks = gzip, wupwise, applu, vpr, art, crafty, parser, vortex, bzip2, gcc, \
+                gamess, mcf, milc, namd, gobmk, hmmer, sjeng, h264ref, lbm\n";
+    let narrow = "core.fetch_width = 4\ncore.issue_width = 4\ncore.retire_width = 4\n\
+                  core.rob_entries = 128\ncore.iq_entries = 64\ncore.lq_entries = 24\n\
+                  core.sq_entries = 24\ncore.int_prf = 128\ncore.fp_prf = 128\n";
+    let wide = "core.fetch_width = 16\ncore.taken_branches_per_cycle = 4\ncore.issue_width = 16\n\
+                core.retire_width = 16\ncore.rob_entries = 512\ncore.iq_entries = 256\n\
+                core.lq_entries = 96\ncore.sq_entries = 96\ncore.int_prf = 512\n\
+                core.fp_prf = 512\n";
+    for (name, core, hash) in [
+        ("narrow-core", narrow, "8940eba48f18feabaed10a1d9b01521205f4e61dc3794b397d0ee86146e946aa"),
+        ("wide-core", wide, "78fd9af507a5cfcc136182d6d8ee18072a45a82592bd9728dc0e90d9eecf6058"),
+    ] {
+        let sc = preset(name).unwrap();
+        assert_eq!(sc.to_string(), format!("{head}{core}"), "{name}");
+        assert_eq!(sc.cache_hash(), hash, "{name}");
+    }
+}

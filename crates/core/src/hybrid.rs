@@ -22,7 +22,7 @@ use crate::{PredictCtx, Prediction, Predictor};
 /// with the hybrid's arbitrated prediction.
 ///
 /// Predictors whose lookups do not depend on previous values of the same
-/// instruction (VTAGE, LVP) implement this as a no-op.
+/// instruction (VTAGE) implement this as a no-op.
 pub trait SpeculativeFeed {
     /// Replace the speculative value recorded for occurrence `seq` of
     /// instruction `pc` with `value`.
@@ -33,6 +33,7 @@ impl SpeculativeFeed for Vtage {
     fn feed(&mut self, _seq: u64, _pc: u64, _value: u64) {}
 }
 
+#[cfg(test)]
 impl SpeculativeFeed for crate::lvp::Lvp {
     fn feed(&mut self, _seq: u64, _pc: u64, _value: u64) {}
 }
@@ -87,13 +88,10 @@ impl Hybrid<Fcm, TwoDeltaStride> {
     }
 }
 
-impl<A, B> Hybrid<A, B>
-where
-    A: Predictor + SpeculativeFeed,
-    B: Predictor + SpeculativeFeed,
-{
+#[cfg(test)]
+impl<A, B> Hybrid<A, B> {
     /// Build a hybrid from two arbitrary components.
-    pub fn from_components(a: A, b: B) -> Self {
+    fn from_components(a: A, b: B) -> Self {
         Hybrid { a, b }
     }
 }

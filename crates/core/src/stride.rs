@@ -163,18 +163,8 @@ impl StrideCore {
     /// in-flight entries with the entry's current prediction stride —
     /// bounding the §7.2.1 cascade to the occurrences already predicted.
     fn resolve(&mut self, seq: u64, pc: u64, actual: u64) {
-        let index = self.index_for_resolve(pc);
-        let step = match index {
-            Some(i) => {
-                let e = &self.entries[i as usize];
-                if e.valid && e.tag == self.tag(pc) {
-                    e.s2
-                } else {
-                    0
-                }
-            }
-            None => 0,
-        };
+        let e = &self.entries[self.index_for_resolve(pc)];
+        let step = if e.valid && e.tag == self.tag(pc) { e.s2 } else { 0 };
         // The record for `seq` *is* occurrence seq's value: re-seed it with
         // the computed result; younger records continue the stride chain.
         self.spec.correct_chain(seq, pc, actual, step);
@@ -184,9 +174,8 @@ impl StrideCore {
     /// fetch-time history which is not available at execute; the PC-only
     /// index is used as the best-effort stride source (hardware keeps the
     /// stride in the instruction payload instead).
-    fn index_for_resolve(&self, pc: u64) -> Option<u32> {
-        let base = (pc >> 2) & ((1 << self.index_bits) - 1);
-        Some(base as u32)
+    fn index_for_resolve(&self, pc: u64) -> usize {
+        ((pc >> 2) & ((1 << self.index_bits) - 1)) as usize
     }
 }
 
