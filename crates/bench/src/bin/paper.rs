@@ -37,8 +37,9 @@
 //!
 //! Each experiment imposes its own figure grid (a named
 //! `vpsim_bench::scenario` preset — `sweep --preset fig6` runs the same
-//! configurations), so a scenario's `predictors`/`confidence`/`recovery`
-//! axes are ignored here; its sizing, benchmark list and `core.*`
+//! configurations), so a scenario's `predictors`/`confidence`/`recovery`/
+//! `points` axes are ignored here, with a warning on stderr when the
+//! command line sets one; its sizing, benchmark list and `core.*`
 //! overrides all apply. Every simulation-backed experiment runs on the
 //! `vpsim_bench::sweep` engine; `--threads` changes wall-clock time only,
 //! never a byte of output.
@@ -49,10 +50,15 @@ use vpsim_bench::scenario::{resolve_cli, Scenario};
 use vpsim_stats::table::Table;
 use vpsim_uarch::RecoveryPolicy;
 
+/// The scenario keys every experiment replaces with its own figure grid.
+const GRID_AXES: [&str; 4] = ["predictors", "confidence", "recovery", "points"];
+
 struct Options {
     scenario: Scenario,
     csv: bool,
     dump: bool,
+    /// The grid axes the command line set, which the experiments ignore.
+    ignored: Vec<&'static str>,
 }
 
 fn parse_args(args: &[String]) -> Result<(Vec<String>, Options), String> {
@@ -69,7 +75,9 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, Options), String> {
         }
     }
     cli.scenario.validate()?;
-    Ok((experiments, Options { scenario: cli.scenario, csv, dump: cli.dump }))
+    let ignored =
+        GRID_AXES.into_iter().filter(|axis| cli.edited.iter().any(|k| k == axis)).collect();
+    Ok((experiments, Options { scenario: cli.scenario, csv, dump: cli.dump, ignored }))
 }
 
 fn emit(title: &str, table: &Table, csv: bool) {
@@ -179,6 +187,12 @@ fn main() -> ExitCode {
             if experiments.is_empty() {
                 eprintln!("error: no experiment named");
                 return ExitCode::FAILURE;
+            }
+            if !options.ignored.is_empty() {
+                eprintln!(
+                    "warning: ignoring {}: each paper experiment runs its own figure grid",
+                    options.ignored.join(", ")
+                );
             }
             for e in &experiments {
                 if let Err(msg) = run_experiment(e, &options) {

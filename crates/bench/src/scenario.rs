@@ -522,6 +522,9 @@ pub struct CliScenario {
     pub rest: Vec<String>,
     /// `true` when `--scenario` or `--preset` was given.
     pub selected: bool,
+    /// The keys `--set`, `--KEY` and their aliases assigned, in
+    /// command-line order (repeats kept).
+    pub edited: Vec<String>,
     /// `true` when `--dump-scenario` was given: print the scenario and
     /// exit.
     pub dump: bool,
@@ -560,7 +563,13 @@ pub fn resolve_cli(
     args: &[String],
     binary_valued: &[&str],
 ) -> Result<CliScenario, String> {
-    let mut cli = CliScenario { scenario: base, rest: Vec::new(), selected: false, dump: false };
+    let mut cli = CliScenario {
+        scenario: base,
+        rest: Vec::new(),
+        selected: false,
+        edited: Vec::new(),
+        dump: false,
+    };
     let mut selector: Option<&str> = None;
     let mut edits: Vec<(&str, &str)> = Vec::new();
     let mut it = args.iter().map(String::as_str);
@@ -600,6 +609,7 @@ pub fn resolve_cli(
     }
     for (key, value) in edits {
         cli.scenario.apply(key, value)?;
+        cli.edited.push(key.to_string());
     }
     cli.selected = selector.is_some();
     Ok(cli)

@@ -303,6 +303,39 @@ fn paper_scenario_file_is_byte_identical_to_flags() {
 }
 
 #[test]
+fn paper_warns_once_about_the_grid_axes_it_ignores() {
+    // Every experiment runs its own figure grid, so grid axes set on the
+    // command line change nothing on stdout; stderr names each ignored key
+    // once, in a single warning, and stays quiet when none is set.
+    let sizing = ["fig6", "--warmup", "500", "--measure", "2000", "--benchmarks", "gzip", "--csv"];
+    let plain = run(env!("CARGO_BIN_EXE_paper"), &sizing);
+    let mut args = sizing.to_vec();
+    args.extend([
+        "--predictors",
+        "lvp",
+        "--set",
+        "recovery=reissue",
+        "--counters",
+        "baseline",
+        "--set",
+        "predictors=vtage",
+        "--points",
+        "vtage/fpc-squash/squash",
+    ]);
+    let axes = run(env!("CARGO_BIN_EXE_paper"), &args);
+    assert_eq!(stdout(&plain), stdout(&axes));
+    assert!(!stderr(&plain).contains("warning"), "{}", stderr(&plain));
+    let warnings: Vec<String> =
+        stderr(&axes).lines().filter(|l| l.contains("warning")).map(str::to_string).collect();
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert!(
+        warnings[0].starts_with("warning: ignoring predictors, confidence, recovery, points:"),
+        "{}",
+        warnings[0]
+    );
+}
+
+#[test]
 fn dump_output_is_itself_a_loadable_scenario() {
     let dumped = stdout(&run(
         env!("CARGO_BIN_EXE_sweep"),

@@ -2,7 +2,7 @@
 //! JILP 2006) — the front-end predictor of the paper's Table 2
 //! configuration, and the ancestor of ITTAGE from which VTAGE derives.
 
-use vpsim_core::history::{fold, HistoryState};
+use vpsim_core::history::{fold, FoldedHistory, HistoryState};
 use vpsim_core::inflight::Inflight;
 use vpsim_core::state::{StateReader, StateWriter};
 use vpsim_core::Lfsr;
@@ -11,6 +11,8 @@ use vpsim_core::Lfsr;
 const MAX_COMPONENTS: usize = 16;
 /// `u`-bit graceful-aging period (branches between column resets).
 const U_RESET_PERIOD: u64 = 256 * 1024;
+/// Global-history folds per tagged component: index, tag, shifted tag.
+const GHIST_FOLDS: usize = 3 * MAX_COMPONENTS;
 
 /// TAGE geometry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +44,7 @@ impl Default for TageConfig {
 impl TageConfig {
     fn validate(&self) {
         assert!(self.bimodal_entries.is_power_of_two());
-        assert!(self.component_entries.is_power_of_two());
+        assert!(self.component_entries.is_power_of_two() && self.component_entries > 1);
         assert_eq!(self.history_lengths.len(), self.tag_bits.len());
         assert!(!self.history_lengths.is_empty() && self.history_lengths.len() <= MAX_COMPONENTS);
         assert!(self.history_lengths.windows(2).all(|w| w[0] < w[1]));
@@ -82,6 +84,19 @@ struct Record {
     used_alt: bool,
 }
 
+/// Where one tagged component's hash inputs live: slots in
+/// [`Tage::ghist_folds`] and [`Tage::path_lens`], its PC shift and its
+/// tag mask.
+#[derive(Debug, Clone, Copy, Default)]
+struct ComponentHash {
+    tag_mask: u16,
+    index_fold: u8,
+    tag_fold: u8,
+    tag_fold_shifted: u8,
+    path_fold: u8,
+    pc_shift: u8,
+}
+
 /// The TAGE direction predictor.
 ///
 /// Speculative [`Tage::predict`] at fetch, in-order [`Tage::train`] at
@@ -95,6 +110,11 @@ pub struct Tage {
     components: Vec<Vec<TaggedEntry>>,
     comp_bits: u32,
     bim_bits: u32,
+    hashes: [ComponentHash; MAX_COMPONENTS],
+    /// Global-history folds of every component, advanced once per branch.
+    ghist_folds: FoldedHistory<GHIST_FOLDS>,
+    /// The distinct path-history lengths, each folded once per lookup.
+    path_lens: Vec<u32>,
     lfsr: Lfsr,
     inflight: Inflight<Record>,
     trained_branches: u64,
@@ -113,14 +133,36 @@ impl Tage {
     /// Panics on an invalid configuration (see [`TageConfig`]).
     pub fn new(config: TageConfig, seed: u64) -> Self {
         config.validate();
+        let comp_bits = config.component_entries.trailing_zeros();
+        let mut hashes = [ComponentHash::default(); MAX_COMPONENTS];
+        let mut ghist_folds = FoldedHistory::new();
+        let mut path_lens = Vec::new();
+        for (rank, (&len, &bits)) in (1..).zip(config.history_lengths.iter().zip(&config.tag_bits))
+        {
+            let path_len = 3 * len.min(8);
+            if !path_lens.contains(&path_len) {
+                path_lens.push(path_len);
+            }
+            hashes[rank - 1] = ComponentHash {
+                tag_mask: ((1u32 << bits) - 1) as u16,
+                index_fold: ghist_folds.slot(len, comp_bits) as u8,
+                tag_fold: ghist_folds.slot(len, bits) as u8,
+                tag_fold_shifted: ghist_folds.slot(len, (bits - 1).max(1)) as u8,
+                path_fold: path_lens.iter().position(|&l| l == path_len).unwrap() as u8,
+                pc_shift: (comp_bits as usize - rank % comp_bits as usize).max(1) as u8,
+            };
+        }
         Tage {
             bimodal: vec![0; config.bimodal_entries],
             components: vec![
                 vec![TaggedEntry::default(); config.component_entries];
                 config.history_lengths.len()
             ],
-            comp_bits: config.component_entries.trailing_zeros(),
+            comp_bits,
             bim_bits: config.bimodal_entries.trailing_zeros(),
+            hashes,
+            ghist_folds,
+            path_lens,
             config,
             lfsr: Lfsr::new(seed ^ 0x7A6E_0000),
             inflight: Inflight::new(),
@@ -137,24 +179,6 @@ impl Tage {
         ((pc >> 2) & ((1 << self.bim_bits) - 1)) as u32
     }
 
-    fn comp_index(&self, pc: u64, hist: &HistoryState, rank: usize) -> u16 {
-        let len = self.config.history_lengths[rank - 1];
-        let pcs = pc >> 2;
-        let h = pcs
-            ^ (pcs >> (self.comp_bits as usize - rank % self.comp_bits as usize).max(1))
-            ^ fold(hist.ghist, len, self.comp_bits)
-            ^ fold(hist.path as u128, 3 * len.min(8), self.comp_bits);
-        (h & ((1 << self.comp_bits) - 1)) as u16
-    }
-
-    fn comp_tag(&self, pc: u64, hist: &HistoryState, rank: usize) -> u16 {
-        let len = self.config.history_lengths[rank - 1];
-        let bits = self.config.tag_bits[rank - 1];
-        let pcs = pc >> 2;
-        let t = pcs ^ fold(hist.ghist, len, bits) ^ (fold(hist.ghist, len, (bits - 1).max(1)) << 1);
-        (t & ((1u64 << bits) - 1)) as u16
-    }
-
     /// Predict the direction of the conditional branch at `pc` under the
     /// speculative history `hist`. `seq` is the dynamic sequence number of
     /// the branch µop (in-order, as for value predictors).
@@ -167,17 +191,37 @@ impl Tage {
 
     /// The table lookup shared by [`Tage::predict`] and
     /// [`Tage::train_committed`]: indices, tags, provider selection and
-    /// the prediction, with no state change.
-    fn lookup(&self, pc: u64, hist: &HistoryState) -> Record {
+    /// the prediction, with no table change (only the fold registers
+    /// advance to `hist`).
+    ///
+    /// Component `rank` is indexed by the PC, the PC shifted by its
+    /// `pc_shift`, its global history folded to the index width and its
+    /// path history (3 bits per control µop, at most 8 µops) folded
+    /// likewise; its tag is the PC XOR two folds of its global history,
+    /// to the tag width and one bit narrower, the latter shifted left.
+    fn lookup(&mut self, pc: u64, hist: &HistoryState) -> Record {
         let n = self.config.history_lengths.len();
         let bim_index = self.bim_index(pc);
+        let pcs = pc >> 2;
+        let index_mask = (1u64 << self.comp_bits) - 1;
+        let mut path_folds = [0u64; MAX_COMPONENTS];
+        for (f, &len) in path_folds.iter_mut().zip(&self.path_lens) {
+            *f = fold(hist.path as u128, len, self.comp_bits);
+        }
+        let g = self.ghist_folds.folds(hist.ghist);
         let mut indices = [0u16; MAX_COMPONENTS];
         let mut tags = [0u16; MAX_COMPONENTS];
         let mut provider = 0u8;
         let mut alt_provider = 0u8;
         for rank in 1..=n {
-            indices[rank - 1] = self.comp_index(pc, hist, rank);
-            tags[rank - 1] = self.comp_tag(pc, hist, rank);
+            let h = self.hashes[rank - 1];
+            let index = pcs
+                ^ (pcs >> h.pc_shift)
+                ^ g[h.index_fold as usize]
+                ^ path_folds[h.path_fold as usize];
+            let tag = pcs ^ g[h.tag_fold as usize] ^ (g[h.tag_fold_shifted as usize] << 1);
+            indices[rank - 1] = (index & index_mask) as u16;
+            tags[rank - 1] = tag as u16 & h.tag_mask;
             let e = &self.components[rank - 1][indices[rank - 1] as usize];
             if e.valid && e.tag == tags[rank - 1] {
                 alt_provider = provider;

@@ -4,6 +4,13 @@
 //! branch history and the path history" (§1). Both histories are maintained
 //! speculatively by the pipeline front-end and checkpointed/restored on
 //! squashes, so the state is a small `Copy` struct: [`HistoryState`].
+//!
+//! TAGE and VTAGE index their tables with XOR-folds of these histories
+//! ([`fold`]). Hardware keeps each global-history fold in a circular shift
+//! register that advances by one bit per branch (Seznec & Michaud, JILP
+//! 2006); [`FoldedHistory`] is that register file. Each predictor owns one
+//! and asks it for the folds of whatever history it is handed, so the
+//! checkpointed state stays the 32-byte [`HistoryState`] alone.
 
 /// Speculative control-flow history carried by the front-end.
 ///
@@ -49,8 +56,10 @@ impl HistoryState {
 
 /// Fold the low `len` bits of `hist` into `out_bits` bits by XOR-ing
 /// consecutive `out_bits`-wide chunks (the classic TAGE folded-history
-/// function, computed directly rather than incrementally — same result,
-/// no checkpoint state).
+/// function). This is the definition [`FoldedHistory`] maintains
+/// incrementally; it computes the fold from scratch, which the predictors
+/// need for path-history folds and after a history jump (a squash or a
+/// checkpoint restore).
 ///
 /// `out_bits` must be in `1..=63`. A `len` of 0 folds to 0.
 ///
@@ -92,6 +101,127 @@ pub fn fold(hist: u128, len: u32, out_bits: u32) -> u64 {
         shift <<= 1;
     }
     h as u64 & mask
+}
+
+/// Folds of one global history at up to `N` (length, width) pairs, kept
+/// as circular shift registers.
+///
+/// [`FoldedHistory::folds`] returns `fold(ghist, len, bits)` for every
+/// registered pair. When `ghist` is the previous call's history with one
+/// branch pushed ([`HistoryState::push_branch`]), each register advances
+/// in O(1): rotate left by one, XOR in the new bit at bit 0, XOR out the
+/// bit leaving the window at position `len % bits`. The same history again
+/// costs nothing, and any other history (a squash, a checkpoint restore, a
+/// skipped branch) is refolded with [`fold`]. The result is therefore a
+/// pure function of `ghist`, whatever the call order; debug builds check
+/// every returned fold against [`fold`].
+///
+/// Lengths above 128 fold as [`fold`] folds them: as 128, the whole
+/// register.
+///
+/// # Examples
+///
+/// ```
+/// use vpsim_core::history::{fold, FoldedHistory, HistoryState};
+/// let mut folded = FoldedHistory::<4>::new();
+/// let slot = folded.slot(12, 5);
+/// let mut h = HistoryState::default();
+/// for taken in [true, false, true, true] {
+///     h.push_branch(0x40, taken);
+///     assert_eq!(folded.folds(h.ghist)[slot], fold(h.ghist, 12, 5));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct FoldedHistory<const N: usize> {
+    /// The history `folds` describes; every fold of 0 is 0.
+    ghist: u128,
+    folds: [u64; N],
+    regs: [Register; N],
+    used: usize,
+}
+
+/// One shift register's geometry, with its update shifts precomputed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Register {
+    /// History length, capped at 128.
+    len: u32,
+    /// Fold width, in `1..=63`.
+    bits: u32,
+    /// `(1 << bits) - 1`, or 0 for a zero-length history (always folds to 0).
+    mask: u64,
+    /// Position of the bit leaving the window in the old history: `len - 1`.
+    out: u32,
+    /// Where that bit sits in the rotated fold: `len % bits`.
+    out_at: u32,
+}
+
+impl<const N: usize> Default for FoldedHistory<N> {
+    fn default() -> Self {
+        FoldedHistory { ghist: 0, folds: [0; N], regs: [Register::default(); N], used: 0 }
+    }
+}
+
+impl<const N: usize> FoldedHistory<N> {
+    /// An empty register file describing the empty history.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The slot holding `fold(ghist, len, bits)`, registering the pair on
+    /// first use; equal pairs share one slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside `1..=63` or all `N` slots are taken.
+    pub fn slot(&mut self, len: u32, bits: u32) -> usize {
+        assert!((1..64).contains(&bits), "fold width {bits} outside 1..=63");
+        let len = len.min(128);
+        let reg = Register {
+            len,
+            bits,
+            mask: if len == 0 { 0 } else { (1u64 << bits) - 1 },
+            out: len.saturating_sub(1),
+            out_at: len % bits,
+        };
+        if let Some(i) = self.regs[..self.used].iter().position(|r| *r == reg) {
+            return i;
+        }
+        assert!(self.used < N, "more than {N} folded histories");
+        self.regs[self.used] = reg;
+        self.folds[self.used] = fold(self.ghist, len, bits);
+        self.used += 1;
+        self.used - 1
+    }
+
+    /// `fold(ghist, len, bits)` for every slot, indexed by slot.
+    #[inline]
+    pub fn folds(&mut self, ghist: u128) -> &[u64; N] {
+        let old = self.ghist;
+        if ghist != old {
+            let regs = &self.regs[..self.used];
+            if ghist >> 1 == old & (u128::MAX >> 1) {
+                let new_bit = (ghist & 1) as u64;
+                for (f, r) in self.folds.iter_mut().zip(regs) {
+                    let out_bit = ((old >> r.out) & 1) as u64;
+                    let rotated = (*f << 1) | (*f >> (r.bits - 1));
+                    *f = (rotated ^ new_bit ^ (out_bit << r.out_at)) & r.mask;
+                }
+            } else {
+                for (f, r) in self.folds.iter_mut().zip(regs) {
+                    *f = fold(ghist, r.len, r.bits);
+                }
+            }
+            self.ghist = ghist;
+        }
+        debug_assert!(
+            self.regs[..self.used]
+                .iter()
+                .zip(&self.folds)
+                .all(|(r, &f)| f == fold(ghist, r.len, r.bits)),
+            "folded history diverged from fold()"
+        );
+        &self.folds
+    }
 }
 
 /// Fold a 64-bit value onto itself to 16 bits (the paper's o4-FCM history

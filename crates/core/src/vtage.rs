@@ -23,7 +23,7 @@
 //! useful (if all are useful, their `u` bits decay instead).
 
 use crate::confidence::{ConfidenceScheme, Lfsr};
-use crate::history::{fold, HistoryState};
+use crate::history::{fold, FoldedHistory};
 use crate::inflight::Inflight;
 use crate::storage::{Storage, StorageComponent};
 use crate::{PredictCtx, Prediction, Predictor};
@@ -31,12 +31,15 @@ use crate::{PredictCtx, Prediction, Predictor};
 /// Maximum number of tagged components supported by the fixed-size
 /// per-prediction records.
 pub const MAX_COMPONENTS: usize = 8;
+/// Global-history folds per tagged component: index, tag, shifted tag.
+const GHIST_FOLDS: usize = 3 * MAX_COMPONENTS;
 
 /// VTAGE geometry.
 ///
 /// The default matches the paper's Table 1: an 8K-entry base, six 1K-entry
 /// tagged components with history lengths 2, 4, 8, 16, 32, 64 and tag
-/// widths 12 + rank.
+/// widths 12 + rank. Lengths above 128 fold as 128, the whole global
+/// history register.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VtageConfig {
     /// Entries in the tagless base (last-value) component.
@@ -84,6 +87,7 @@ impl VtageConfig {
             self.base_tag_bits as usize + self.history_lengths.len() <= 32,
             "tags must fit in 32 bits"
         );
+        assert!(self.base_tag_bits >= 1, "tags need at least 2 bits");
     }
 }
 
@@ -110,6 +114,17 @@ struct Record {
     /// 0 = base; 1..=N = tagged component rank.
     provider: u8,
     predicted: u64,
+}
+
+/// Where one tagged component's hash inputs live: slots in
+/// [`Vtage::ghist_folds`] and [`Vtage::path_lens`], and its tag mask.
+#[derive(Debug, Clone, Copy, Default)]
+struct ComponentHash {
+    tag_mask: u32,
+    index_fold: u8,
+    tag_fold: u8,
+    tag_fold_shifted: u8,
+    path_fold: u8,
 }
 
 /// The VTAGE predictor (see module docs).
@@ -146,6 +161,11 @@ pub struct Vtage {
     components: Vec<Vec<TaggedEntry>>,
     base_bits: u32,
     comp_bits: u32,
+    hashes: [ComponentHash; MAX_COMPONENTS],
+    /// Global-history folds of every component, advanced once per branch.
+    ghist_folds: FoldedHistory<GHIST_FOLDS>,
+    /// The distinct path-history lengths, each folded once per prediction.
+    path_lens: Vec<u32>,
     scheme: ConfidenceScheme,
     lfsr: Lfsr,
     inflight: Inflight<Record>,
@@ -165,6 +185,24 @@ impl Vtage {
     /// non-increasing history lengths, too many components).
     pub fn new(config: VtageConfig, scheme: ConfidenceScheme, seed: u64) -> Self {
         config.validate();
+        let comp_bits = config.component_entries.trailing_zeros();
+        let mut hashes = [ComponentHash::default(); MAX_COMPONENTS];
+        let mut ghist_folds = FoldedHistory::new();
+        let mut path_lens = Vec::new();
+        for (rank, &len) in (1..).zip(&config.history_lengths) {
+            let bits = config.base_tag_bits + rank;
+            let path_len = 3 * len.min(16);
+            if !path_lens.contains(&path_len) {
+                path_lens.push(path_len);
+            }
+            hashes[rank as usize - 1] = ComponentHash {
+                tag_mask: ((1u64 << bits) - 1) as u32,
+                index_fold: ghist_folds.slot(len, comp_bits) as u8,
+                tag_fold: ghist_folds.slot(len, bits) as u8,
+                tag_fold_shifted: ghist_folds.slot(len, bits - 1) as u8,
+                path_fold: path_lens.iter().position(|&l| l == path_len).unwrap() as u8,
+            };
+        }
         Vtage {
             base: vec![BaseEntry::default(); config.base_entries],
             components: vec![
@@ -172,7 +210,10 @@ impl Vtage {
                 config.num_components()
             ],
             base_bits: config.base_entries.trailing_zeros(),
-            comp_bits: config.component_entries.trailing_zeros(),
+            comp_bits,
+            hashes,
+            ghist_folds,
+            path_lens,
             config,
             scheme,
             lfsr: Lfsr::new(seed),
@@ -188,36 +229,34 @@ impl Vtage {
     fn base_index(&self, pc: u64) -> u32 {
         ((pc >> 2) & ((1 << self.base_bits) - 1)) as u32
     }
-
-    fn comp_index(&self, pc: u64, hist: &HistoryState, rank: usize) -> u32 {
-        let len = self.config.history_lengths[rank - 1];
-        let pcs = pc >> 2;
-        let h = pcs
-            ^ (pcs >> rank)
-            ^ fold(hist.ghist, len, self.comp_bits)
-            ^ fold(hist.path as u128, 3 * len.min(16), self.comp_bits);
-        (h & ((1 << self.comp_bits) - 1)) as u32
-    }
-
-    fn comp_tag(&self, pc: u64, hist: &HistoryState, rank: usize) -> u32 {
-        let len = self.config.history_lengths[rank - 1];
-        let bits = self.config.base_tag_bits + rank as u32;
-        let pcs = pc >> 2;
-        let t = pcs ^ fold(hist.ghist, len, bits) ^ (fold(hist.ghist, len, bits - 1) << 1);
-        (t & ((1u64 << bits) - 1)) as u32
-    }
 }
 
 impl Predictor for Vtage {
+    /// Component `rank` is indexed by the PC, the PC shifted right by
+    /// `rank`, its global history folded to the index width and its path
+    /// history (3 bits per control µop, at most 16 µops) folded likewise;
+    /// its tag is the PC XOR two folds of its global history, to the tag
+    /// width and one bit narrower, the latter shifted left.
     fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
         let n = self.config.num_components();
         let base_index = self.base_index(ctx.pc);
+        let pcs = ctx.pc >> 2;
+        let index_mask = (1u64 << self.comp_bits) - 1;
+        let mut path_folds = [0u64; MAX_COMPONENTS];
+        for (f, &len) in path_folds.iter_mut().zip(&self.path_lens) {
+            *f = fold(ctx.hist.path as u128, len, self.comp_bits);
+        }
+        let g = self.ghist_folds.folds(ctx.hist.ghist);
         let mut indices = [0u32; MAX_COMPONENTS];
         let mut tags = [0u32; MAX_COMPONENTS];
         let mut provider = 0u8;
         for rank in 1..=n {
-            indices[rank - 1] = self.comp_index(ctx.pc, &ctx.hist, rank);
-            tags[rank - 1] = self.comp_tag(ctx.pc, &ctx.hist, rank);
+            let h = self.hashes[rank - 1];
+            let index =
+                pcs ^ (pcs >> rank) ^ g[h.index_fold as usize] ^ path_folds[h.path_fold as usize];
+            let tag = pcs ^ g[h.tag_fold as usize] ^ (g[h.tag_fold_shifted as usize] << 1);
+            indices[rank - 1] = (index & index_mask) as u32;
+            tags[rank - 1] = tag as u32 & h.tag_mask;
             let e = &self.components[rank - 1][indices[rank - 1] as usize];
             if e.valid && e.tag == tags[rank - 1] {
                 provider = rank as u8;
@@ -276,12 +315,16 @@ impl Predictor for Vtage {
         };
         // --- allocation in a longer-history component ---
         if mispredicted && (rec.provider as usize) < n {
-            let candidates: Vec<usize> = (rec.provider as usize + 1..=n)
-                .filter(|&rank| {
-                    let e = &self.components[rank - 1][rec.indices[rank - 1] as usize];
-                    !e.valid || !e.useful
-                })
-                .collect();
+            let mut candidates = [0usize; MAX_COMPONENTS];
+            let mut ncand = 0usize;
+            for rank in rec.provider as usize + 1..=n {
+                let e = &self.components[rank - 1][rec.indices[rank - 1] as usize];
+                if !e.valid || !e.useful {
+                    candidates[ncand] = rank;
+                    ncand += 1;
+                }
+            }
+            let candidates = &candidates[..ncand];
             if candidates.is_empty() {
                 // All candidate entries are useful: decay them instead of
                 // allocating (anti-thrash, as in ITTAGE).
@@ -324,6 +367,7 @@ impl Predictor for Vtage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::HistoryState;
 
     fn ctx(seq: u64, pc: u64, hist: HistoryState) -> PredictCtx {
         PredictCtx { seq, pc, hist, actual: None }

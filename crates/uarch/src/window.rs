@@ -589,12 +589,19 @@ impl Window {
 /// reach), and [`CompletionWheel::defer`] re-queues events postponed when
 /// a memory-order squash aborts the completion stage mid-pass.
 ///
+/// Every bucket keeps the same capacity, raised for all of them at once
+/// when one bucket fills, so allocation stops once the largest per-cycle
+/// event count has been seen, rather than recurring each time that count
+/// first lands in a bucket that never held it.
+///
 /// The hot methods are `#[inline]`: `Machine` is generic, so the
 /// replay loop is compiled in the calling crate, and without the attribute
 /// these would be cross-crate calls on the per-cycle path.
 #[derive(Debug)]
 pub(crate) struct CompletionWheel {
     buckets: Vec<Vec<Event>>,
+    /// Capacity reserved in every bucket.
+    bucket_cap: usize,
     carry: Vec<Event>,
     due: Vec<Event>,
 }
@@ -604,7 +611,12 @@ impl CompletionWheel {
     /// a power of two; grows on demand).
     pub fn new(horizon: usize) -> Self {
         let n = horizon.next_power_of_two().max(64);
-        CompletionWheel { buckets: vec![Vec::new(); n], carry: Vec::new(), due: Vec::new() }
+        CompletionWheel {
+            buckets: vec![Vec::new(); n],
+            bucket_cap: 0,
+            carry: Vec::new(),
+            due: Vec::new(),
+        }
     }
 
     /// Schedule `ev` for cycle `ev.at`; events due at or before `now` land
@@ -621,12 +633,25 @@ impl CompletionWheel {
             self.grow(now, dist);
         }
         let slot = (ev.at as usize) & (self.buckets.len() - 1);
+        if self.buckets[slot].len() == self.bucket_cap {
+            self.widen();
+        }
         self.buckets[slot].push(ev);
+    }
+
+    /// Double the capacity reserved in every bucket.
+    #[cold]
+    fn widen(&mut self) {
+        self.bucket_cap = (2 * self.bucket_cap).max(4);
+        for b in &mut self.buckets {
+            b.reserve_exact(self.bucket_cap.saturating_sub(b.len()));
+        }
     }
 
     fn grow(&mut self, now: u64, dist: usize) {
         let new_len = (dist + 1).next_power_of_two();
-        let mut buckets = vec![Vec::new(); new_len];
+        let mut buckets: Vec<Vec<Event>> =
+            (0..new_len).map(|_| Vec::with_capacity(self.bucket_cap)).collect();
         for old in &mut self.buckets {
             for ev in old.drain(..) {
                 debug_assert!(ev.at > now);
@@ -927,6 +952,23 @@ mod tests {
         // A deferred event is due at the very next drain.
         wh.defer(Event { at: 17, idx: 3, gen: 0 });
         assert_eq!(wh.next_due_at_or_after(18), Some(18));
+    }
+
+    #[test]
+    fn wheel_widens_every_bucket_when_one_fills() {
+        let mut wh = CompletionWheel::new(8);
+        // Five events in one cycle outgrow the first reservation...
+        for idx in 0..5 {
+            wh.schedule(0, Event { at: 3, idx, gen: 0 });
+        }
+        assert!(
+            wh.buckets.iter().all(|b| b.capacity() >= 5),
+            "every bucket was widened, not just the full one"
+        );
+        // ...and a grown ring reserves as much in each of its buckets.
+        wh.schedule(0, Event { at: 500, idx: 5, gen: 0 });
+        assert!(wh.buckets.len() > 500);
+        assert!(wh.buckets.iter().all(|b| b.capacity() >= 5));
     }
 
     #[test]

@@ -119,14 +119,52 @@ fn mixed_kernel() -> vpsim_isa::Program {
     b.build().unwrap()
 }
 
-/// Run `config` on the mixed kernel, counting allocations only after
-/// fetch has taken `warm` µops; returns allocations from there to the end
-/// of `warm + measured` committed instructions.
-fn allocations_in_steady_state(config: CoreConfig, warm: u64, measured: u64) -> u64 {
-    let program = mixed_kernel();
+/// A loop whose branch follows a 10-bit maximal-length LFSR (period
+/// 1023), which TAGE learns, around a linear congruential generator whose
+/// `mul`/`add` results are fresh pseudo-random values. VTAGE mispredicts
+/// nearly every one of them, and the 1023 branch histories give each PC
+/// more contexts than a tagged component holds, so it keeps allocating.
+fn lfsr_lcg_kernel() -> vpsim_isa::Program {
+    let mut b = ProgramBuilder::new();
+    let (x, k, s, t, i, n) =
+        (Reg::int(1), Reg::int(2), Reg::int(3), Reg::int(4), Reg::int(5), Reg::int(6));
+    b.load_imm(x, 0xACE1);
+    b.load_imm(s, 1);
+    b.load_imm(n, 1_000_000);
+    let top = b.bind_label();
+    b.load_imm(k, 0x5851_F42D_4C95_7F2D);
+    b.mul(x, x, k);
+    b.load_imm(k, 0x1405_7B7E_F767_814F);
+    b.add(x, x, k);
+    // Feedback bit s[0] ^ s[3] (x^10 + x^7 + 1), shifted in at bit 9.
+    b.shri(t, s, 3);
+    b.xor(t, t, s);
+    b.andi(t, t, 1);
+    b.shri(s, s, 1);
+    b.shli(k, t, 9);
+    b.or(s, s, k);
+    let skip = b.label();
+    b.beq(t, Reg::int(0), skip);
+    b.addi(Reg::int(7), Reg::int(7), 1);
+    b.bind(skip);
+    b.addi(i, i, 1);
+    b.blt(i, n, top);
+    b.halt();
+    b.build().unwrap()
+}
+
+/// Run `config` on `program`, counting allocations only after fetch has
+/// taken `warm` µops; returns allocations from there to the end of
+/// `warm + measured` committed instructions.
+fn allocations_in_steady_state(
+    config: CoreConfig,
+    program: &vpsim_isa::Program,
+    warm: u64,
+    measured: u64,
+) -> u64 {
     let sim = Simulator::new(config);
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    sim.replay(Armed::new(Executor::new(&program), warm), 0, warm + measured, &mut NullSink);
+    sim.replay(Armed::new(Executor::new(program), warm), 0, warm + measured, &mut NullSink);
     assert!(disarm(), "counting must arm");
     ALLOCATIONS.load(Ordering::SeqCst)
 }
@@ -137,7 +175,8 @@ fn no_vp_steady_state_is_allocation_free() {
     // The inline executor writes to a fixed store footprint and the
     // machine's scratch reaches its high-water mark well inside the
     // warm-up, so the measured region must allocate nothing at all.
-    let allocs = allocations_in_steady_state(CoreConfig::default(), 60_000, 60_000);
+    let allocs =
+        allocations_in_steady_state(CoreConfig::default(), &mixed_kernel(), 60_000, 60_000);
     assert_eq!(allocs, 0, "no-VP steady state must not allocate ({allocs} allocations)");
 }
 
@@ -203,7 +242,7 @@ fn vp_steady_state_allocations_are_bounded() {
     let config = CoreConfig::default()
         .with_vp(VpConfig::enabled(PredictorKind::VtageStride, RecoveryPolicy::SquashAtCommit));
     let measured = 60_000u64;
-    let allocs = allocations_in_steady_state(config, 60_000, measured);
+    let allocs = allocations_in_steady_state(config, &mixed_kernel(), 60_000, measured);
     assert!(
         allocs * 1000 < measured,
         "VP steady state allocates too much: {allocs} allocations / {measured} instructions"
@@ -220,9 +259,26 @@ fn selective_reissue_steady_state_allocations_are_bounded() {
         RecoveryPolicy::SelectiveReissue,
     ));
     let measured = 60_000u64;
-    let allocs = allocations_in_steady_state(config, 60_000, measured);
+    let allocs = allocations_in_steady_state(config, &mixed_kernel(), 60_000, measured);
     assert!(
         allocs * 1000 < measured,
         "reissue steady state allocates too much: {allocs} allocations / {measured} instructions"
     );
+}
+
+#[test]
+fn mispredicting_vtage_steady_state_is_allocation_free() {
+    let _serial = serialize_test();
+    // VTAGE mispredicts nearly every LCG value and allocates a
+    // longer-history entry on each misprediction: that path must stay off
+    // the heap under both recoveries. The warm-up spans about ten periods
+    // of the kernel's branch pattern, so the window's per-slot waiter and
+    // poison lists have reached their high-water marks.
+    let program = lfsr_lcg_kernel();
+    for recovery in [RecoveryPolicy::SquashAtCommit, RecoveryPolicy::SelectiveReissue] {
+        let config =
+            CoreConfig::default().with_vp(VpConfig::enabled(PredictorKind::Vtage, recovery));
+        let allocs = allocations_in_steady_state(config, &program, 150_000, 60_000);
+        assert_eq!(allocs, 0, "VTAGE under {recovery:?} allocated {allocs} times");
+    }
 }

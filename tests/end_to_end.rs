@@ -2,6 +2,8 @@
 //! executor and the cycle-level core, exercising the paper's mechanisms
 //! end to end.
 
+use vpsim::branch::Tage;
+use vpsim::core::state::{StateReader, StateWriter};
 use vpsim::core::{
     AnyPredictor, ConfidenceScheme, HistoryState, PredictCtx, Prediction, Predictor, PredictorKind,
 };
@@ -142,6 +144,68 @@ fn cloned_predictor_continues_identically() {
         let got = copy_frontier.finish(&mut copy, 1_000);
         let diverged_at = got.iter().zip(&expected).position(|(a, b)| a != b);
         assert_eq!((got.len(), diverged_at), (expected.len(), None), "{kind}: the clone diverged");
+    }
+}
+
+/// Predict `branches[from..]` on `tage` with up to `LAG` predictions in
+/// flight, squashing and refetching the younger half of them every 97
+/// predictions, as the pipeline's fetch and commit stages do; trains every
+/// branch before returning. Returns each prediction, in the order made.
+fn drive_tage(tage: &mut Tage, branches: &[(u64, bool, HistoryState)], from: usize) -> Vec<bool> {
+    let (mut fetch, mut commit) = (from, from);
+    let mut log = Vec::new();
+    while commit < branches.len() {
+        if fetch < branches.len() {
+            let (pc, _, hist) = branches[fetch];
+            log.push(tage.predict(fetch as u64, pc, &hist));
+            fetch += 1;
+            if log.len() % 97 == 0 && fetch - commit > 1 {
+                let keep = commit + (fetch - commit) / 2;
+                tage.squash_after(keep as u64);
+                fetch = keep + 1;
+            }
+        }
+        if fetch - commit > LAG || fetch == branches.len() {
+            tage.train(commit as u64, branches[commit].1);
+            commit += 1;
+        }
+    }
+    log
+}
+
+#[test]
+fn cloned_and_restored_tage_continue_identically() {
+    // Conditional branches of a workload trace with their fetch history.
+    let program = (benchmark("gcc").unwrap().build)(&WorkloadParams::default());
+    let trace = Trace::capture(&program, 60_000);
+    let mut hist = HistoryState::default();
+    let mut branches = Vec::new();
+    for di in trace.cursor() {
+        if di.inst.op.is_cond_branch() {
+            branches.push((di.pc, di.taken, hist));
+            hist.push_branch(di.pc, di.taken);
+        } else if di.inst.op.is_control() {
+            hist.push_path(di.pc);
+        }
+    }
+    let half = branches.len() / 2;
+    let mut original = Tage::with_defaults(7);
+    drive_tage(&mut original, &branches[..half], 0);
+    // The clone copies the fold registers; the restored predictor starts
+    // them from the empty history and must refold on its first lookup.
+    let mut clone = original.clone();
+    let mut w = StateWriter::new();
+    original.save_state(&mut w);
+    let bytes = w.into_bytes();
+    let mut restored = Tage::with_defaults(99);
+    let mut r = StateReader::new(&bytes);
+    restored.load_state(&mut r).unwrap();
+    r.finish().unwrap();
+    let expected = drive_tage(&mut original, &branches, half);
+    for (name, tage) in [("clone", &mut clone), ("restored", &mut restored)] {
+        let got = drive_tage(tage, &branches, half);
+        let diverged_at = got.iter().zip(&expected).position(|(a, b)| a != b);
+        assert_eq!((got.len(), diverged_at), (expected.len(), None), "the {name} diverged");
     }
 }
 
